@@ -24,6 +24,10 @@ from .effects import EffectSpec
 from .estimate import EstimationOptions
 
 
+# Keys that do not change any output, so they stay out of the config hash.
+NO_EFFECT_KEYS = frozenset({"threads"})
+
+
 class ConfigError(ValueError):
     pass
 
@@ -58,13 +62,21 @@ class RunConfig:
             raise ConfigError(f"missing required config key {key!r}")
         return default
 
-    def get_int(self, key, default=None):
+    def _cast(self, key, cast, default):
         v = self.get(key)
-        return int(v) if v is not None else default
+        if v is None:
+            return default
+        try:
+            return cast(v)
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: {v!r} is not a valid "
+                              f"{cast.__name__}") from None
+
+    def get_int(self, key, default=None):
+        return self._cast(key, int, default)
 
     def get_float(self, key, default=None):
-        v = self.get(key)
-        return float(v) if v is not None else default
+        return self._cast(key, float, default)
 
     @property
     def years(self) -> list:
@@ -113,9 +125,9 @@ class RunConfig:
                           ("initial_gain", float), ("t_max", float),
                           ("seed", int), ("derivative_step", float),
                           ("max_subphase_iter", int)):
-            v = self.get(key)
+            v = self._cast(key, cast, None)
             if v is not None:
-                kwargs[key] = cast(v)
+                kwargs[key] = v
         kwargs.setdefault("seed", 0)
         return EstimationOptions(**kwargs)
 
@@ -124,7 +136,9 @@ class RunConfig:
         return self.get_int("seed", 0)
 
     def hash(self) -> str:
-        canon = "\n".join(f"{k}={v}" for k, v in sorted(self.values.items()))
+        """Hash of the settings that can change outputs (not `threads`)."""
+        canon = "\n".join(f"{k}={v}" for k, v in sorted(self.values.items())
+                          if k not in NO_EFFECT_KEYS)
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
     def meta(self) -> dict:

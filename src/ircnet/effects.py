@@ -2,15 +2,17 @@
 
 Each effect defines a per-actor statistic s_i(x) and an incremental change
 form used by the simulator: the difference in actor i's statistic when the
-tie (i, j) is toggled. Covariate effects read grand-mean-centered values;
-missing entries are imputed to the mean (contributing 0) during simulation
-and excluded from observed target sums.
+tie (i, j) is toggled. The change form reads a `NetState`, which keeps the
+degrees, shared-partner counts and toggle signs of the network up to date
+per toggle. Covariate effects read grand-mean-centered values; missing
+entries are imputed to the mean (contributing 0) during simulation and
+excluded from observed target sums.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,6 +167,26 @@ def dyadic_contribution(effect: EffectSpec, covs: CovariateSet, period: int,
     return contrib, valid
 
 
+def contribution(effect: EffectSpec, covs: CovariateSet, period: int):
+    """`dyadic_contribution(effect, covs, period)`, built once per covariate set.
+
+    The matrices do not depend on beta, so a fit that simulates hundreds of
+    periods builds each (effect, period) pair once. The memo lives on `covs`
+    and remembers the covariate object each entry was built from, so a
+    replaced covariate is rebuilt. The returned arrays are read-only.
+    """
+    source = (_dyad_cov if effect.kind == "dyadX" else _actor_cov)(effect, covs)
+    key = (effect, period)
+    hit = covs.derived.get(key)
+    if hit is None or hit[0] is not source:
+        contrib, valid = dyadic_contribution(effect, covs, period)
+        contrib.setflags(write=False)
+        if valid is not None:
+            valid.setflags(write=False)
+        hit = covs.derived[key] = (source, contrib, valid)
+    return hit[1], hit[2]
+
+
 def statistic(effect: EffectSpec, net: BinaryNetwork, covs: CovariateSet = None,
               period: int = 0, use_mask: bool = True):
     """(total, per_actor) statistic of one effect on a network.
@@ -184,41 +206,108 @@ def statistic(effect: EffectSpec, net: BinaryNetwork, covs: CovariateSet = None,
         w = _gwesp_weight(esp, effect.gwesp_decay)
         per_actor = (x * w).sum(axis=1)
     else:
-        contrib, valid = dyadic_contribution(effect, covs, period)
+        contrib, valid = contribution(effect, covs, period)
         if use_mask and valid is not None:
             contrib = np.where(valid, contrib, 0.0)
         per_actor = (x * contrib).sum(axis=1)
     return float(per_actor.sum()), per_actor
 
 
-def change_row(effect: EffectSpec, x: np.ndarray, deg: np.ndarray, i: int,
-               contrib: np.ndarray = None):
+class NetState:
+    """An undirected network plus the values change rows read, each kept up
+    to date by `toggle` in O(n) work.
+
+    x: float adjacency. deg: degrees. esp: shared-partner counts x @ x, as
+    integers (the diagonal is not kept up to date). sign: 1 - 2x, the
+    direction of toggling each dyad (+1 adds a tie, -1 removes it).
+    """
+
+    def __init__(self, x):
+        x = np.array(x, dtype=float)
+        self.x = x
+        self.deg = x.sum(axis=1)
+        self.esp = (x @ x).astype(np.intp)
+        self.sign = 1.0 - 2.0 * x
+        self._gwesp = {}
+
+    def toggle(self, i: int, j: int):
+        """Add tie (i, j) if absent, else remove it."""
+        x, esp = self.x, self.esp
+        s = self.sign[i, j]
+        if s < 0:
+            x[i, j] = x[j, i] = 0.0
+        # neighbours taken while (i, j) is absent: the shared partners of i
+        # and h move by one for every h adjacent to j, and vice versa
+        ni, nj = x[i].nonzero()[0], x[j].nonzero()[0]
+        if s > 0:
+            x[i, j] = x[j, i] = 1.0
+        d = 1 if s > 0 else -1
+        # fancy-index a row or column view: cheaper than esp[i, nj]
+        esp[i][nj] += d
+        esp[:, i][nj] += d
+        esp[j][ni] += d
+        esp[:, j][ni] += d
+        self.deg[i] += s
+        self.deg[j] += s
+        self.sign[i, j] = self.sign[j, i] = -s
+
+    def gwesp_tables(self, decay: float):
+        """(weight, steps) indexed by shared-partner count e = 0..n.
+
+        weight[e] is the gwesp weight of an edge with e shared partners;
+        steps[0, e] is what the edge gains when e rises by one, steps[1, e]
+        what it loses when e falls by one.
+        """
+        tables = self._gwesp.get(decay)
+        if tables is None:
+            e = np.arange(self.x.shape[0] + 1, dtype=float)
+            c = 1.0 - math.exp(-decay)
+            ea = math.exp(decay)
+            steps = np.stack((ea * (1.0 - c) * np.power(c, e),
+                              ea * (1.0 - c) * np.power(c, np.maximum(e, 1) - 1)))
+            tables = self._gwesp[decay] = (_gwesp_weight(e, decay), steps)
+        return tables
+
+    def change_entry(self, effect: EffectSpec, i: int, j: int,
+                     contrib: np.ndarray = None) -> float:
+        """Entry j of `change_row(effect, self, i, contrib)`, computed alone."""
+        s = self.sign[i, j]
+        if effect.kind == "density":
+            return s
+        if effect.kind == "degPlus":
+            return self.deg[j] + 1.0 if s > 0 else -self.deg[j]
+        if effect.kind == "gwesp":
+            weight, steps = self.gwesp_tables(effect.gwesp_decay)
+            esp = self.esp[i]
+            shared = (self.x[i] * self.x[j]).nonzero()[0]
+            step = steps[0 if s > 0 else 1]
+            return s * (weight[esp[j]] + step.take(esp.take(shared)).sum())
+        if contrib is None:
+            raise EffectError(f"effect {effect.kind} needs a contribution matrix")
+        return s * contrib[i, j]
+
+
+def change_row(effect: EffectSpec, state: NetState, i: int,
+               contrib: np.ndarray = None) -> np.ndarray:
     """Vector over j of the change in actor i's statistic when (i, j) toggles.
 
-    x is a float adjacency matrix, deg its degree vector; for covariate
-    effects pass the precomputed `dyadic_contribution` matrix. Entry i of
+    For covariate effects pass the `dyadic_contribution` matrix. Entry i of
     the result is meaningless (self-toggle is not an option).
     """
-    row = x[i]
-    adding = row == 0.0
-    sign = np.where(adding, 1.0, -1.0)
+    sign = state.sign[i]
     if effect.kind == "density":
-        return sign
+        return sign.copy()
     if effect.kind == "degPlus":
         # adding tie (i,j): partner degree becomes deg_j + 1; removing: -deg_j
-        return np.where(adding, deg + 1.0, -deg)
+        return np.where(sign > 0, state.deg + 1.0, -state.deg)
     if effect.kind == "gwesp":
-        decay = effect.gwesp_decay
-        c = 1.0 - math.exp(-decay)
-        ea = math.exp(decay)
-        esp = x @ row  # shared partners of i with every j
-        base = _gwesp_weight(esp, decay)
-        # toggling (i,j) shifts esp of every edge (i,h) with h adjacent to j
-        inc = ea * (1.0 - c) * np.power(c, esp) * row       # gain per affected edge
-        dec = np.where(row > 0, ea * (1.0 - c) * np.power(c, np.maximum(esp, 1) - 1), 0.0) * row
-        corr_add = x @ inc
-        corr_rem = x @ dec
-        return np.where(adding, base + corr_add, -(base + corr_rem))
+        weight, steps = state.gwesp_tables(effect.gwesp_decay)
+        esp = state.esp[i]
+        nbrs = state.x[i].nonzero()[0]
+        # toggling (i,j) shifts esp of every edge (i,h) with h adjacent to j:
+        # row 0 sums the gains (adding), row 1 the losses (removing)
+        corr = steps.take(esp.take(nbrs), axis=1) @ state.x.take(nbrs, axis=0)
+        return sign * (weight.take(esp) + np.where(sign > 0, corr[0], corr[1]))
     if contrib is None:
         raise EffectError(f"effect {effect.kind} needs a contribution matrix")
     return sign * contrib[i]
@@ -229,12 +318,10 @@ def change_statistic(effect: EffectSpec, net: BinaryNetwork, i: int, j: int,
     """Change in actor i's statistic when tie (i, j) is toggled."""
     if i == j:
         raise EffectError("self-ties are not defined")
-    x = net.x.astype(float)
-    deg = x.sum(axis=1)
     contrib = None
     if effect.kind not in STRUCTURAL_KINDS:
-        contrib, _ = dyadic_contribution(effect, covs, period)
-    return float(change_row(effect, x, deg, i, contrib)[j])
+        contrib, _ = contribution(effect, covs, period)
+    return float(change_row(effect, NetState(net.x), i, contrib)[j])
 
 
 def target_statistics(panel: BinaryNetSeries, model: ModelSpec,
@@ -253,56 +340,3 @@ def target_statistics(panel: BinaryNetSeries, model: ModelSpec,
             total, _ = statistic(eff, panel.wave(m + 1), covs, period=m, use_mask=True)
             targets[k] += total
     return targets
-
-
-@dataclass
-class PeriodContext:
-    """Precomputed per-period quantities for fast simulation.
-
-    cov_combined = sum over covariate effects of beta_k * contribution_k
-    (imputed values), so the covariate part of the objective delta for any
-    toggle is just sign * cov_combined[i, j].
-    """
-
-    structural: list = field(default_factory=list)  # (index, EffectSpec)
-    covariate: list = field(default_factory=list)   # (index, EffectSpec, contrib, valid)
-    cov_combined: np.ndarray = None
-
-    @classmethod
-    def build(cls, model: ModelSpec, covs: CovariateSet, n: int, period: int,
-              beta: np.ndarray):
-        ctx = cls()
-        combined = np.zeros((n, n))
-        for k, eff in enumerate(model.effects):
-            if eff.kind in STRUCTURAL_KINDS:
-                ctx.structural.append((k, eff))
-            else:
-                contrib, valid = dyadic_contribution(eff, covs, period)
-                ctx.covariate.append((k, eff, contrib, valid))
-                combined += beta[k] * contrib
-        ctx.cov_combined = combined
-        return ctx
-
-    def objective_delta_row(self, x, deg, i, beta):
-        """Vector over j of the objective-function change for toggling (i, j)."""
-        delta = self.cov_combined[i] * np.where(x[i] == 0.0, 1.0, -1.0)
-        for k, eff in self.structural:
-            if beta[k] != 0.0:
-                delta = delta + beta[k] * change_row(eff, x, deg, i)
-        return delta
-
-    def totals(self, x, deg):
-        """Full per-effect totals on the current state (imputed covariates)."""
-        out = {}
-        for k, eff in self.structural:
-            if eff.kind == "density":
-                out[k] = float(deg.sum())
-            elif eff.kind == "degPlus":
-                out[k] = float(deg @ deg)  # sum_i (x @ deg)_i = deg . deg
-            else:
-                esp = x @ x
-                out[k] = float((x * _gwesp_weight(esp, eff.gwesp_decay)).sum())
-        for k, eff, contrib, valid in self.covariate:
-            masked = contrib if valid is None else np.where(valid, contrib, 0.0)
-            out[k] = float((x * masked).sum())
-        return out

@@ -7,6 +7,7 @@ All delimited files are UTF-8 CSV with a header row; lines starting with
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 
 import numpy as np
@@ -25,10 +26,27 @@ def _meta_lines(meta):
     return [f"# {k}={v}" for k, v in sorted((meta or {}).items())]
 
 
+def _is_data(line):
+    return line.strip() and not line.startswith("#")
+
+
 def _open_rows(path):
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = [ln for ln in fh if _is_data(ln)]
     return list(csv.reader(lines))
+
+
+def _actor_index(actors, label, path, row) -> int:
+    """Index of `label`; an unknown label is reported with the file line of
+    `_open_rows(path)[row]`, found by reading the file again."""
+    try:
+        return actors.index(label)
+    except KeyError:
+        pass
+    with open(path, encoding="utf-8") as fh:
+        data_lines = (k for k, ln in enumerate(fh, 1) if _is_data(ln))
+        lineno = next(itertools.islice(data_lines, row, None))
+    raise FileFormatError(f"{path}:{lineno}: unknown actor {label!r}")
 
 
 def read_actor_set(path) -> ActorSet:
@@ -105,15 +123,18 @@ def write_binary_edgelist(series, path, meta=None):
                 wr.writerow([net.year, ids[i], ids[j]])
 
 
-def _series_from_rows(rows, actors, weighted, years=None):
-    header = rows[0]
+def _read_edgelist(path, actors, weighted, years=None):
+    rows = _open_rows(path)
+    if not rows or rows[0][0] != "year":
+        raise FileFormatError(f"{path}: missing edge-list header")
     data = {}
-    for row in rows[1:]:
+    for r, row in enumerate(rows[1:], 1):
         year = int(row[0])
         a, b = row[1], row[2]
         w = int(row[3]) if weighted else 1
         mat = data.setdefault(year, np.zeros((actors.n, actors.n), dtype=np.int64))
-        i, j = actors.index(a), actors.index(b)
+        i = _actor_index(actors, a, path, r)
+        j = _actor_index(actors, b, path, r)
         if weighted:
             mat[i, j] += w
         else:
@@ -133,17 +154,11 @@ def _series_from_rows(rows, actors, weighted, years=None):
 
 
 def read_weighted_edgelist(path, actors, years=None) -> WeightedNetSeries:
-    rows = _open_rows(path)
-    if not rows or rows[0][0] != "year":
-        raise FileFormatError(f"{path}: missing edge-list header")
-    return _series_from_rows(rows, actors, weighted=True, years=years)
+    return _read_edgelist(path, actors, weighted=True, years=years)
 
 
 def read_binary_edgelist(path, actors, years=None) -> BinaryNetSeries:
-    rows = _open_rows(path)
-    if not rows or rows[0][0] != "year":
-        raise FileFormatError(f"{path}: missing edge-list header")
-    return _series_from_rows(rows, actors, weighted=False, years=years)
+    return _read_edgelist(path, actors, weighted=False, years=years)
 
 
 def read_actor_covariate(path, name, actors, years, transform="none") -> ActorCovariate:
@@ -179,10 +194,10 @@ def read_dyad_matrix(path, name, actors, transform="none") -> DyadCovariate:
     rows = _open_rows(path)
     header = rows[0][1:]
     mat = np.zeros((actors.n, actors.n))
-    for row in rows[1:]:
-        i = actors.index(row[0])
+    for r, row in enumerate(rows[1:], 1):
+        i = _actor_index(actors, row[0], path, r)
         for lbl, cell in zip(header, row[1:]):
-            mat[i, actors.index(lbl)] = float(cell)
+            mat[i, _actor_index(actors, lbl, path, 0)] = float(cell)
     return DyadCovariate.from_raw(name, mat, transform=transform)
 
 

@@ -252,6 +252,9 @@ class CovariateSet:
 
     actor: dict = field(default_factory=dict)
     dyad: dict = field(default_factory=dict)
+    # beta-free matrices derived from the covariates, memoized per
+    # (effect, period) by effects.contribution
+    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add(self, cov):
         if isinstance(cov, ActorCovariate):

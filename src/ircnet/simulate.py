@@ -12,11 +12,10 @@ unilateral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .effects import ModelSpec, PeriodContext
+from .effects import (STRUCTURAL_KINDS, ModelSpec, NetState, change_row,
+                      contribution)
 from .panel import BinaryNetwork, CovariateSet
 
 MAX_MINISTEPS = 10_000_000
@@ -26,70 +25,101 @@ class SimulationError(RuntimeError):
     pass
 
 
-@dataclass
-class SimState:
-    """Mutable simulation state for one period."""
+class SimState(NetState):
+    """One period's simulation: the network with the values kept up to date
+    per toggle, the clock and the random stream.
 
-    x: np.ndarray          # float adjacency, mutated in place
-    deg: np.ndarray        # degree vector, kept in sync
-    t: float
-    period: int
-    rng: np.random.Generator
-    steps: int = 0
+    Beyond NetState's values it keeps `fixed`, the part of the objective
+    change that does not depend on the network's structure: for each dyad,
+    its toggle sign times (the density parameter plus the beta-weighted
+    covariate contributions). A toggle flips two of its entries.
+    """
+
+    def __init__(self, start: BinaryNetwork, model: ModelSpec,
+                 covs: CovariateSet = None, period: int = 0, rng=None):
+        super().__init__(start.x)
+        n = self.x.shape[0]
+        rate = float(model.rates[period])
+        if rate <= 0:
+            raise SimulationError("rate must be positive")
+        self.model = model
+        self.rng = rng
+        self.t = 0.0
+        self.steps = 0
+        self.holding_scale = 1.0 / (n * rate)
+        self.conjunctive = model.model_type == "pairwise-conjunctive"
+        covs = covs or CovariateSet()
+        beta = model.beta
+        combined = np.zeros((n, n))
+        density = 0.0
+        self.terms = []        # (beta_k, effect): structural rows per ministep
+        self.covariates = []   # (k, contrib, valid): covariate effects
+        for k, eff in enumerate(model.effects):
+            if eff.kind == "density":
+                density += beta[k]
+            elif eff.kind in STRUCTURAL_KINDS:
+                if beta[k] != 0.0:
+                    self.terms.append((beta[k], eff))
+            else:
+                contrib, valid = contribution(eff, covs, period)
+                self.covariates.append((k, contrib, valid))
+                combined += beta[k] * contrib
+        self.fixed = (combined + density) * self.sign
+
+    def toggle(self, i: int, j: int):
+        super().toggle(i, j)
+        fixed = self.fixed
+        fixed[i, j] = -fixed[i, j]
+        fixed[j, i] = -fixed[j, i]
+
+    def objective_delta_row(self, i: int) -> np.ndarray:
+        """Vector over j of the objective-function change for toggling (i, j)."""
+        delta = self.fixed[i].copy()
+        for b, eff in self.terms:
+            delta += b * change_row(eff, self, i)
+        return delta
+
+    def partner_delta(self, j: int, i: int) -> float:
+        """Entry i of `objective_delta_row(j)`, computed alone."""
+        delta = self.fixed[j, i]
+        for b, eff in self.terms:
+            delta += b * self.change_entry(eff, j, i)
+        return delta
 
 
-def _start_state(start: BinaryNetwork, period: int, rng) -> SimState:
-    x = start.x.astype(float)
-    return SimState(x=x, deg=x.sum(axis=1), t=0.0, period=period, rng=rng)
-
-
-def ministep(state: SimState, model: ModelSpec, covs: CovariateSet = None,
-             ctx: PeriodContext = None) -> SimState:
+def ministep(state: SimState) -> SimState:
     """Advance one actor opportunity; mutates and returns `state`.
 
     Time is advanced by an exponential holding time with total rate
     n * lambda; the tie change (if any) is applied afterwards. If the
     holding time overshoots t = 1 the period is over and no change is made.
     """
-    n = state.x.shape[0]
-    rate = float(model.rates[state.period])
-    if rate <= 0:
-        raise SimulationError("rate must be positive")
-    if ctx is None:
-        ctx = PeriodContext.build(model, covs or CovariateSet(), n, state.period,
-                                  model.beta)
     rng = state.rng
-    state.t += rng.exponential(1.0 / (n * rate))
+    state.t += rng.exponential(state.holding_scale)
     if state.t >= 1.0:
         return state
     state.steps += 1
     if state.steps > MAX_MINISTEPS:
         raise SimulationError("ministep budget exceeded; rates are diverging")
 
+    n = state.x.shape[0]
     i = int(rng.integers(n))
-    delta = ctx.objective_delta_row(state.x, state.deg, i, model.beta)
+    delta = state.objective_delta_row(i)
     delta[i] = 0.0  # slot i doubles as the keep-the-network option
-    if not np.all(np.isfinite(delta)):
+    if not np.isfinite(delta).all():
         raise SimulationError(
-            f"non-finite objective change for actor {i} (beta={model.beta})")
-    logits = delta - delta.max()
-    weights = np.exp(logits)
-    probs = weights / weights.sum()
-    j = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    j = min(j, n - 1)
+            f"non-finite objective change for actor {i} (beta={state.model.beta})")
+    delta -= delta.max()  # logits, then probabilities, in delta's buffer
+    probs = np.exp(delta, out=delta)
+    probs /= probs.sum()
+    j = min(int(probs.cumsum().searchsorted(rng.random(), side="right")), n - 1)
     if j == i:
         return state
 
-    creating = state.x[i, j] == 0.0
-    if model.model_type == "pairwise-conjunctive" and creating:
-        delta_j = ctx.objective_delta_row(state.x, state.deg, j, model.beta)[i]
-        if rng.random() >= 1.0 / (1.0 + np.exp(-delta_j)):
+    if state.conjunctive and state.sign[i, j] > 0:
+        if rng.random() >= 1.0 / (1.0 + np.exp(-state.partner_delta(j, i))):
             return state
-    sign = 1.0 if creating else -1.0
-    state.x[i, j] += sign
-    state.x[j, i] += sign
-    state.deg[i] += sign
-    state.deg[j] += sign
+    state.toggle(i, j)
     return state
 
 
@@ -105,30 +135,35 @@ def simulate_period(start: BinaryNetwork, model: ModelSpec,
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    covs = covs or CovariateSet()
-    n = start.actors.n
-    ctx = PeriodContext.build(model, covs, n, period, model.beta)
-    state = _start_state(start, period, rng)
+    state = SimState(start, model, covs, period, rng)
     while state.t < 1.0:
-        ministep(state, model, covs, ctx)
+        ministep(state)
     xi = state.x.astype(np.int8)
     end = BinaryNetwork(start.actors, start.year, xi)
-    totals = masked_totals(model, ctx, state.x)
+    totals = masked_totals(state)
     changed = int(np.count_nonzero(xi != start.x)) // 2
     return end, totals, changed
 
 
-def masked_totals(model: ModelSpec, ctx: PeriodContext, x: np.ndarray) -> np.ndarray:
-    """Per-effect totals with missing-covariate dyads excluded.
+def masked_totals(state: SimState) -> np.ndarray:
+    """Per-effect totals of the state's network, missing-covariate dyads excluded.
 
     Matches the convention used for observed target statistics so that
     method-of-moments deviations compare like with like.
     """
-    deg = x.sum(axis=1)
-    totals = np.zeros(model.n_effects)
-    raw = ctx.totals(x, deg)
-    for k in raw:
-        totals[k] = raw[k]
+    x, deg = state.x, state.deg
+    totals = np.zeros(state.model.n_effects)
+    for k, eff in enumerate(state.model.effects):
+        if eff.kind == "density":
+            totals[k] = float(deg.sum())
+        elif eff.kind == "degPlus":
+            totals[k] = float(deg @ deg)  # sum_i (x @ deg)_i = deg . deg
+        elif eff.kind == "gwesp":
+            weight, _ = state.gwesp_tables(eff.gwesp_decay)
+            totals[k] = float((x * weight[state.esp]).sum())
+    for k, contrib, valid in state.covariates:
+        masked = contrib if valid is None else np.where(valid, contrib, 0.0)
+        totals[k] = float((x * masked).sum())
     return totals
 
 

@@ -130,6 +130,20 @@ class TestIngest:
         assert main(["ingest", cfg]) == 0
         assert read_bytes(os.path.join(root, "out", "weighted_ST.csv")) == first
 
+    def test_threads_flag_does_not_change_outputs(self, tmp_path):
+        # --threads has no effect on results, so it must not enter the
+        # config hash that every output embeds
+        root = str(tmp_path)
+        write_fixtures(root, random_records(9, 30))
+        cfg = write_config(root)
+        outputs = ("weighted_ST.csv", "describe_ST.csv")
+        snapshots = []
+        for extra in ([], ["--threads", "2"]):
+            assert main(["ingest", cfg] + extra) == 0
+            snapshots.append([read_bytes(os.path.join(root, "out", name))
+                              for name in outputs])
+        assert snapshots[0] == snapshots[1]
+
     def test_describe_rows_recount(self, pipeline):
         root, _ = pipeline
         actors = read_actor_set(os.path.join(root, "actors.txt"))
@@ -265,3 +279,45 @@ class TestExitCodes:
         path = tmp_path / "bad.cfg"
         path.write_text("this is not a key value pair\n")
         assert main(["ingest", str(path)]) == 1
+
+    @pytest.mark.parametrize("key,value", [("n1", "ten"), ("t_max", "x")])
+    def test_unparseable_estimation_value(self, tmp_path, capsys, key, value):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(10))
+        cfg = write_config(root, extra=f"{key} = {value}\n")
+        assert main(["ingest", cfg]) == 0
+        assert main(["backbone", cfg]) == 0
+        assert main(["estimate", cfg]) == 1
+        err = capsys.readouterr().err
+        assert repr(key) in err and repr(value) in err
+
+    def test_unknown_actor_in_edge_list(self, tmp_path, capsys):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(11))
+        panel = tmp_path / "panel.csv"
+        panel.write_text("# seed=7\nyear,iso3_a,iso3_b\n2000,CHN,DEU\n"
+                         "2001,DEU,ZZZ\n")
+        cfg = write_config(root, extra=f"panel = {panel}\n")
+        assert main(["estimate", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"{panel}:4" in err and "'ZZZ'" in err
+
+    @pytest.mark.parametrize("bad_line", [1, 3])
+    def test_unknown_actor_in_dyad_matrix(self, tmp_path, capsys, bad_line):
+        # line 1 is the header row; line 3 is the row of the second actor
+        root = str(tmp_path)
+        write_fixtures(root, random_records(12))
+        lines = ["," + ",".join(ACTORS)]
+        for code in ACTORS:
+            lines.append(code + "," + ",".join("0" if a == code else "1"
+                                               for a in ACTORS))
+        lines[bad_line - 1] = lines[bad_line - 1].replace(ACTORS[1], "ZZZ")
+        dist = tmp_path / "dist.csv"
+        dist.write_text("\n".join(lines) + "\n")
+        cfg = write_config(root, extra=f"effects = density, dyadX:dist\n"
+                                       f"dyad_covariates = dist:{dist}\n")
+        assert main(["ingest", cfg]) == 0
+        assert main(["backbone", cfg]) == 0
+        assert main(["estimate", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"{dist}:{bad_line}" in err and "'ZZZ'" in err

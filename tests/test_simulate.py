@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import actor_set, random_graph
-from ircnet.effects import EffectSpec, ModelSpec, PeriodContext
-from ircnet.panel import ActorSet, BinaryNetwork, CovariateSet, empty_network
+from ircnet.effects import ALL_KINDS, EffectSpec, ModelSpec, change_row
+from ircnet.panel import (ActorCovariate, ActorSet, BinaryNetwork,
+                          CovariateSet, DyadCovariate, empty_network)
 from ircnet.simulate import (SimState, SimulationError, ministep,
                              simulate_period)
 
@@ -89,14 +90,14 @@ class TestMinistep:
     def test_n3_option_probabilities_all_states(self):
         # every state of the 8-state chain matches the hand-computed logit
         model = density_model(0.5, 1.0)
-        ctx = PeriodContext.build(model, CovariateSet(), 3, 0, model.beta)
         for s in range(8):
             x = np.zeros((3, 3))
             for k, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
                 if (s >> k) & 1:
                     x[i, j] = x[j, i] = 1
+            state = SimState(BinaryNetwork(ACTORS3, 0, x.astype(np.int8)), model)
             for i in range(3):
-                deltas = ctx.objective_delta_row(x, x.sum(axis=1), i, model.beta)
+                deltas = state.objective_delta_row(i)
                 deltas[i] = 0.0
                 w = np.exp(deltas - deltas.max())
                 got = w / w.sum()
@@ -104,12 +105,15 @@ class TestMinistep:
                 assert np.allclose(got, expected)
 
     def test_nonfinite_objective_raises(self):
-        model = density_model(np.inf, 1.0)
-        state = SimState(x=np.zeros((3, 3)), deg=np.zeros(3), t=0.0, period=0,
-                         rng=np.random.default_rng(0))
-        with pytest.raises(SimulationError):
-            for _ in range(50):
-                ministep(state, model)
+        # at -inf every toggle's weight is exp(-inf) = 0 and only the keep
+        # option has mass: the max and the cumulative sum stay finite
+        for beta in (np.inf, -np.inf):
+            model = density_model(beta, 1.0)
+            state = SimState(empty_network(ACTORS3), model,
+                             rng=np.random.default_rng(0))
+            with pytest.raises(SimulationError):
+                for _ in range(50):
+                    ministep(state)
 
     def test_symmetry_preserved(self, rng):
         n = 8
@@ -148,16 +152,13 @@ class TestSimulatePeriod:
         n, lam = 10, 2.0
         model = density_model(0.0, lam)
         start = empty_network(actor_set(n))
-        from ircnet.simulate import _start_state
-        from ircnet.effects import PeriodContext
         rng = np.random.default_rng(99)
         total = 0
         runs = 10000
-        ctx = PeriodContext.build(model, CovariateSet(), n, 0, model.beta)
         for _ in range(runs):
-            state = _start_state(start, 0, rng)
+            state = SimState(start, model, rng=rng)
             while state.t < 1.0:
-                ministep(state, model, None, ctx)
+                ministep(state)
             total += state.steps
         assert total / runs == pytest.approx(n * lam, rel=0.05)
 
@@ -183,3 +184,79 @@ class TestSimulatePeriod:
                           rates=np.array([3.0]), model_type="pairwise-conjunctive")
         end, _, _ = simulate_period(start, model, None, 0, seed=5)
         assert np.array_equal(end.x, end.x.T)
+
+
+def kernel_covs(rng, n):
+    vals = rng.random((n, 1))
+    vals[rng.random((n, 1)) < 0.2] = np.nan
+    vals[0, 0] = 0.5  # at least one observed value
+    d = rng.random((n, n))
+    d = (d + d.T) / 2
+    np.fill_diagonal(d, 0)
+    return (CovariateSet().add(ActorCovariate("ac", vals))
+            .add(DyadCovariate("dist", d)))
+
+
+COVARIATE_OF = {"egoPlusAltX": "ac", "egoPlusAltSqX": "ac", "simX": "ac",
+                "dyadX": "dist"}
+
+
+def effect_of(kind):
+    return EffectSpec(kind, COVARIATE_OF.get(kind))
+
+
+FULL_MODEL_EFFECTS = tuple(effect_of(k) for k in ALL_KINDS)
+
+
+class TestKernel:
+    """The values SimState maintains per toggle against a rebuild from x."""
+
+    @pytest.mark.parametrize("rule", ["forcing", "pairwise-conjunctive"])
+    def test_maintained_state_matches_rebuild(self, rng, rule):
+        beta = np.array([-1.0, 0.6, -0.05, 0.4, -0.3, 0.8, 0.5])
+        assert len(beta) == len(FULL_MODEL_EFFECTS)
+        for n in (4, 11, 30):
+            covs = kernel_covs(rng, n)
+            for p in (0.05, 0.3, 0.7):
+                model = ModelSpec(FULL_MODEL_EFFECTS, beta=beta,
+                                  rates=np.array([6.0]), model_type=rule)
+                state = SimState(random_graph(rng, n, p), model, covs, 0,
+                                 np.random.default_rng(n))
+                toggles = 0
+                while state.t < 1.0:
+                    before = state.deg.sum()
+                    ministep(state)
+                    toggles += state.deg.sum() != before
+                    x = state.x
+                    off = ~np.eye(n, dtype=bool)
+                    assert np.array_equal(state.esp[off], (x @ x)[off])
+                    fresh = SimState(BinaryNetwork(actor_set(n), 0,
+                                                   x.astype(np.int8)),
+                                     model, covs, 0)
+                    assert np.array_equal(state.deg, fresh.deg)
+                    assert np.array_equal(state.sign, fresh.sign)
+                    assert np.array_equal(state.fixed, fresh.fixed)
+                assert toggles > 0
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_partner_entry_matches_full_row(self, rng, kind):
+        eff = effect_of(kind)
+        effects = (EffectSpec("density"),) + ((eff,) if kind != "density" else ())
+        beta = np.array([-0.7, 0.9][:len(effects)])
+        for n in (3, 9, 20):
+            covs = kernel_covs(rng, n)
+            for p in (0.1, 0.4, 0.8):
+                model = ModelSpec(effects, beta=beta, rates=np.array([1.0]),
+                                  model_type="pairwise-conjunctive")
+                state = SimState(random_graph(rng, n, p), model, covs, 0)
+                contrib = state.covariates[0][1] if state.covariates else None
+                for j in range(n):
+                    row = state.objective_delta_row(j)
+                    eff_row = change_row(eff, state, j, contrib)
+                    for i in range(n):
+                        if i == j:
+                            continue
+                        assert state.partner_delta(j, i) == pytest.approx(
+                            row[i], rel=1e-12, abs=1e-12)
+                        assert state.change_entry(eff, j, i, contrib) == \
+                            pytest.approx(eff_row[i], rel=1e-12, abs=1e-12)
