@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 
@@ -17,11 +16,10 @@ import numpy as np
 
 from . import backbone as bb
 from . import fileio, gof, ingest
-from .estimate import (EstimationError, EstimationResult,
-                       estimate as run_estimation, p_value, stars)
+from .estimate import EstimationError, estimate as run_estimation, p_values
 from .config import ConfigError, RunConfig
 from .effects import EffectError, ModelSpec
-from .panel import BinaryNetSeries, CovariateSet, PanelError
+from .panel import BinaryNetSeries, CovariateSet, PanelError, isolate_count
 from .simulate import SimulationError
 
 EXIT_OK = 0
@@ -44,23 +42,14 @@ def _outdir(cfg):
     return out
 
 
-def _write_table(path, header, rows, meta):
+def _write_table(path, header, rows, meta, notes=()):
+    """CSV table after `# key=value` lines: the sorted meta, then `notes`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for k, v in sorted(meta.items()):
+        for k, v in sorted(meta.items()) + list(notes):
             fh.write(f"# {k}={v}\n")
         wr = csv.writer(fh)
         wr.writerow(header)
         wr.writerows(rows)
-
-
-def _load_covariates(cfg, actors, years) -> CovariateSet:
-    covs = CovariateSet()
-    for name, path, transform in cfg.covariate_files("actor_covariates"):
-        covs.add(fileio.read_actor_covariate(path, name, actors, years,
-                                             transform=transform))
-    for name, path, transform in cfg.covariate_files("dyad_covariates"):
-        covs.add(fileio.read_dyad_matrix(path, name, actors, transform=transform))
-    return covs
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -102,7 +91,6 @@ def cmd_backbone(cfg: RunConfig) -> int:
         net, report = bb.extract_backbone(wnet, alpha, scores)
         scores_by_year[wnet.year] = scores
         nets.append(net)
-        from .panel import isolate_count
         rows.append((wnet.year, report.positive_edges, report.retained_edges,
                      f"{report.trimming_fraction:.4f}",
                      f"{isolate_count(net) / actors.n:.4f}"))
@@ -120,14 +108,23 @@ def cmd_backbone(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_panel_and_model(cfg):
+def _load_panel(cfg):
     actors = fileio.read_actor_set(cfg.get("actors", required=True))
     out = _outdir(cfg)
     slug = _slug(cfg.get("domain", "unclassified"))
     panel_path = cfg.get("panel", os.path.join(out, f"backbone_{slug}.csv"))
     panel = fileio.read_binary_edgelist(panel_path, actors, cfg.years)
-    years = panel.years
-    covs = _load_covariates(cfg, actors, years)
+    covs = CovariateSet()
+    for name, path, transform in cfg.covariate_files("actor_covariates"):
+        covs.add(fileio.read_actor_covariate(path, name, actors, panel.years,
+                                             transform=transform))
+    for name, path, transform in cfg.covariate_files("dyad_covariates"):
+        covs.add(fileio.read_dyad_matrix(path, name, actors, transform=transform))
+    return actors, panel, covs, out, slug
+
+
+def _load_panel_and_model(cfg):
+    actors, panel, covs, out, slug = _load_panel(cfg)
     effects = cfg.effects
     for eff in effects:
         if eff.covariate:
@@ -135,30 +132,13 @@ def _load_panel_and_model(cfg):
             if eff.covariate not in pool:
                 raise ConfigError(f"effect {eff.label}: covariate "
                                   f"{eff.covariate!r} not configured")
-            if eff.kind != "dyadX":
-                cov = covs.actor[eff.covariate]
-                if cov.values.shape[0] != actors.n:
-                    raise ConfigError(f"covariate {eff.covariate!r} has "
-                                      f"{cov.values.shape[0]} actors, expected {actors.n}")
     model = ModelSpec(effects, model_type=cfg.get("model_type", "forcing"))
     return actors, panel, covs, model, out, slug
 
 
-def _p_rows(result):
-    """Like estimate.p_values, but degenerate SEs yield a blank p column."""
-    rows = []
-    for label, b, se in zip(result.effect_labels, result.beta, result.beta_se):
-        if se > 0:
-            p = p_value(b, se)
-            rows.append((label, float(b), float(se), p, stars(p)))
-        else:
-            rows.append((label, float(b), float(se), float("nan"), ""))
-    return rows
-
-
 def _report_lines(result):
     lines = ["Parameter                        Estimate", "-" * 48]
-    for label, b, se, p, star in _p_rows(result):
+    for label, b, se, p, star in p_values(result):
         lines.append(f"{label:<32} {b:.4f}{star}")
         lines.append(f"{'':<32} ({se:.4f})")
     lines.append("-" * 48)
@@ -178,7 +158,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
                        os.path.join(out, f"draws_finals_{slug}.npy"))
     rows = [(label, f"{b:.4f}", f"{se:.4f}",
              f"{p:.6f}" if np.isfinite(p) else "", star)
-            for label, b, se, p, star in _p_rows(result)]
+            for label, b, se, p, star in p_values(result)]
     _write_table(os.path.join(out, f"estimates_{slug}.csv"),
                  ["parameter", "estimate", "se", "p", "stars"], rows, meta)
     report = "\n".join(f"# {k}={v}" for k, v in sorted(meta.items()))
@@ -197,18 +177,9 @@ def cmd_gof(cfg: RunConfig) -> int:
         raise gof.GofError(
             "no retained draws found; rerun the estimate command (draw "
             f"retention writes {os.path.basename(finals_path)})")
-    with open(os.path.join(out, f"result_{slug}.json"), encoding="utf-8") as fh:
-        stored = json.load(fh)
-    stats, finals = fileio.read_draws(stats_path, finals_path, actors)
-    result = EstimationResult(
-        theta=np.array(stored["theta"]), se=np.array(stored["se"]),
-        rate_labels=stored["rate_labels"], effect_labels=stored["effect_labels"],
-        derivative=np.array(stored["derivative"]),
-        covariance=np.array(stored["covariance"]),
-        tratios=np.array(stored["tratios"]), conv_ratio=stored["conv_ratio"],
-        iterations=stored["iterations"], seed=stored["seed"],
-        draws_stats=stats, draws_final_networks=finals,
-        targets=np.array(stored["targets"]))
+    result = fileio.read_result_json(os.path.join(out, f"result_{slug}.json"))
+    result.draws_stats, result.draws_final_networks = fileio.read_draws(
+        stats_path, finals_path, actors)
     meta = cfg.meta()
     final_wave = panel.wave(panel.n_waves - 1)
     for kind in gof.AUX_KINDS:
@@ -217,29 +188,17 @@ def cmd_gof(cfg: RunConfig) -> int:
                 for lbl, o, a, b, c in zip(aux.labels, aux.observed, aux.q05,
                                            aux.q50, aux.q95)]
         path = os.path.join(out, f"gof_{kind}_{slug}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for k, v in sorted(meta.items()):
-                fh.write(f"# {k}={v}\n")
-            fh.write(f"# p_value={aux.p:.6f}\n")
-            wr = csv.writer(fh)
-            wr.writerow(["dimension", "observed", "q05", "q50", "q95"])
-            wr.writerows(rows)
+        _write_table(path, ["dimension", "observed", "q05", "q50", "q95"], rows,
+                     meta, [("p_value", f"{aux.p:.6f}")])
         print(f"{kind}: p = {aux.p:.4f} -> {os.path.basename(path)}")
     return EXIT_OK
 
 
 def cmd_export(cfg: RunConfig) -> int:
-    actors = fileio.read_actor_set(cfg.get("actors", required=True))
-    out = _outdir(cfg)
-    slug = _slug(cfg.get("domain", "unclassified"))
-    panel_path = cfg.get("panel", os.path.join(out, f"backbone_{slug}.csv"))
-    panel = fileio.read_binary_edgelist(panel_path, actors, cfg.years)
-    covs = _load_covariates(cfg, actors, panel.years)
+    _, panel, covs, out, slug = _load_panel(cfg)
     meta = cfg.meta()
     for m, net in enumerate(panel):
-        attrs = {}
-        for name, cov in sorted(covs.actor.items()):
-            attrs[name] = cov.filled(min(m, cov.n_periods - 1))
+        attrs = {name: cov.filled(m) for name, cov in sorted(covs.actor.items())}
         path = os.path.join(out, f"wave_{slug}_{net.year}.graphml")
         fileio.export_graphml(net, path, node_attrs=attrs, meta=meta)
     print(f"exported {panel.n_waves} GraphML waves to {out}")

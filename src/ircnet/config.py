@@ -21,7 +21,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .effects import EffectSpec
-from .estimate import EstimationOptions
+from .estimate import EstimationOptions, OptionRangeError
 
 
 # Keys that do not change any output, so they stay out of the config hash.
@@ -83,10 +83,14 @@ class RunConfig:
         spec = self.get("years")
         if spec is None:
             return None
-        if "-" in spec:
-            lo, hi = spec.split("-")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(y) for y in spec.split(",")]
+        try:
+            if "-" in spec:
+                lo, hi = spec.split("-")
+                return list(range(int(lo), int(hi) + 1))
+            return [int(y) for y in spec.split(",")]
+        except ValueError:
+            raise ConfigError(f"config key 'years': {spec!r} is not a year "
+                              "range or list") from None
 
     @property
     def effects(self) -> tuple:
@@ -129,7 +133,11 @@ class RunConfig:
             if v is not None:
                 kwargs[key] = v
         kwargs.setdefault("seed", 0)
-        return EstimationOptions(**kwargs)
+        try:
+            return EstimationOptions(**kwargs)
+        except OptionRangeError as exc:
+            raise ConfigError(f"config key {exc.key!r}: {self.get(exc.key)!r} "
+                              f"is out of range ({exc})") from None
 
     @property
     def seed(self) -> int:

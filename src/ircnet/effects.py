@@ -1,8 +1,9 @@
 """Effect statistics for the tie-change objective function.
 
-Each effect defines a per-actor statistic s_i(x) and an incremental change
-form used by the simulator: the difference in actor i's statistic when the
-tie (i, j) is toggled. The change form reads a `NetState`, which keeps the
+Each effect defines a per-actor statistic s_i(x), in `_dyad_terms` alone
+(observed targets and simulated totals both read it), and an incremental
+change form used by the simulator: the difference in actor i's statistic
+when the tie (i, j) is toggled. Both read a `NetState`, which keeps the
 degrees, shared-partner counts and toggle signs of the network up to date
 per toggle. Covariate effects read grand-mean-centered values; missing
 entries are imputed to the mean (contributing 0) during simulation and
@@ -88,12 +89,6 @@ class ModelSpec:
     @property
     def n_effects(self) -> int:
         return len(self.effects)
-
-
-def _gwesp_weight(esp, decay):
-    """Edgewise contribution e^a (1 - (1 - e^-a)^esp) for esp shared partners."""
-    c = 1.0 - math.exp(-decay)
-    return math.exp(decay) * (1.0 - np.power(c, esp))
 
 
 def _actor_cov(effect, covs: CovariateSet):
@@ -195,22 +190,8 @@ def statistic(effect: EffectSpec, net: BinaryNetwork, covs: CovariateSet = None,
     statistic convention); use_mask=False evaluates with imputed values
     (the simulation convention).
     """
-    x = net.x.astype(float)
-    if effect.kind == "density":
-        per_actor = x.sum(axis=1)
-    elif effect.kind == "degPlus":
-        deg = x.sum(axis=1)
-        per_actor = x @ deg
-    elif effect.kind == "gwesp":
-        esp = x @ x
-        w = _gwesp_weight(esp, effect.gwesp_decay)
-        per_actor = (x * w).sum(axis=1)
-    else:
-        contrib, valid = contribution(effect, covs, period)
-        if use_mask and valid is not None:
-            contrib = np.where(valid, contrib, 0.0)
-        per_actor = (x * contrib).sum(axis=1)
-    return float(per_actor.sum()), per_actor
+    terms = _dyad_terms(effect, NetState(net.x), covs, period, use_mask)
+    return float(terms.sum()), terms.sum(axis=1)
 
 
 class NetState:
@@ -254,9 +235,9 @@ class NetState:
     def gwesp_tables(self, decay: float):
         """(weight, steps) indexed by shared-partner count e = 0..n.
 
-        weight[e] is the gwesp weight of an edge with e shared partners;
-        steps[0, e] is what the edge gains when e rises by one, steps[1, e]
-        what it loses when e falls by one.
+        weight[e] = e^a (1 - (1 - e^-a)^e) is the gwesp weight of an edge
+        with e shared partners; steps[0, e] is what the edge gains when e
+        rises by one, steps[1, e] what it loses when e falls by one.
         """
         tables = self._gwesp.get(decay)
         if tables is None:
@@ -265,7 +246,8 @@ class NetState:
             ea = math.exp(decay)
             steps = np.stack((ea * (1.0 - c) * np.power(c, e),
                               ea * (1.0 - c) * np.power(c, np.maximum(e, 1) - 1)))
-            tables = self._gwesp[decay] = (_gwesp_weight(e, decay), steps)
+            weight = ea * (1.0 - np.power(c, e))
+            tables = self._gwesp[decay] = (weight, steps)
         return tables
 
     def change_entry(self, effect: EffectSpec, i: int, j: int,
@@ -324,6 +306,38 @@ def change_statistic(effect: EffectSpec, net: BinaryNetwork, i: int, j: int,
     return float(change_row(effect, NetState(net.x), i, contrib)[j])
 
 
+def _dyad_terms(effect: EffectSpec, state: NetState, covs: CovariateSet,
+                period: int, use_mask: bool) -> np.ndarray:
+    """The one definition of each effect's statistic: a dyad matrix whose
+    row i sums to actor i's statistic on `state` and whose sum is the total.
+
+    use_mask=True zeroes dyads with missing covariate data.
+    """
+    x = state.x
+    if effect.kind == "density":
+        return x
+    if effect.kind == "degPlus":
+        return x * state.deg  # row i sums x_ij deg_j
+    if effect.kind == "gwesp":
+        weight, _ = state.gwesp_tables(effect.gwesp_decay)
+        return x * weight[state.esp]  # the stale esp diagonal meets x_ii = 0
+    contrib, valid = contribution(effect, covs, period)
+    if use_mask and valid is not None:
+        contrib = np.where(valid, contrib, 0.0)
+    return x * contrib
+
+
+def effect_totals(effects, state: NetState, covs: CovariateSet = None,
+                  period: int = 0) -> np.ndarray:
+    """Per-effect totals on `state`, dyads with missing covariate data excluded.
+
+    Observed targets and simulated statistics both come from here, so the
+    method-of-moments deviations compare like with like.
+    """
+    return np.array([_dyad_terms(eff, state, covs, period, True).sum()
+                     for eff in effects])
+
+
 def target_statistics(panel: BinaryNetSeries, model: ModelSpec,
                       covs: CovariateSet = None) -> np.ndarray:
     """Per-effect method-of-moments targets.
@@ -336,7 +350,6 @@ def target_statistics(panel: BinaryNetSeries, model: ModelSpec,
         raise EffectError("target statistics need at least 2 waves")
     targets = np.zeros(model.n_effects)
     for m in range(panel.n_waves - 1):
-        for k, eff in enumerate(model.effects):
-            total, _ = statistic(eff, panel.wave(m + 1), covs, period=m, use_mask=True)
-            targets[k] += total
+        targets += effect_totals(model.effects, NetState(panel.wave(m + 1).x),
+                                 covs, m)
     return targets

@@ -23,10 +23,19 @@ from .simulate import simulate_panel
 RATE_FLOOR = 0.01
 INITIAL_RATE_FALLBACK = 0.5
 DIVERGENCE_NORM = 1e3
+RESTARTS = 2        # phase-2 reruns while conv_ratio > t_max
 
 
 class EstimationError(RuntimeError):
     pass
+
+
+class OptionRangeError(EstimationError):
+    """An estimation option outside its range; `key` names the option."""
+
+    def __init__(self, key, rule):
+        super().__init__(f"{key} must be {rule}")
+        self.key = key
 
 
 class SingularDerivativeError(EstimationError):
@@ -51,14 +60,13 @@ class EstimationOptions:
     max_subphase_iter: int = None   # default 200 + 10 * n_parameters
     min_subphase_iter: int = 5
     keep_draws: bool = True
-    restarts: int = 2            # phase-2 reruns while conv_ratio > t_max
 
     def __post_init__(self):
         if not (0 < self.initial_gain < 1):
-            raise EstimationError("initial gain must be in (0, 1)")
+            raise OptionRangeError("initial_gain", "in (0, 1)")
         for name in ("n1", "subphases", "n3"):
             if getattr(self, name) <= 0:
-                raise EstimationError(f"{name} must be positive")
+                raise OptionRangeError(name, "positive")
 
 
 @dataclass
@@ -304,7 +312,7 @@ def estimate(panel: BinaryNetSeries, model: ModelSpec, covs: CovariateSet = None
                              iterations=iters)
     # if the deviations have not levelled off, restart phase 2 from the
     # current estimate (the usual remedy for an unconverged run)
-    for _ in range(options.restarts):
+    for _ in range(RESTARTS):
         if result.conv_ratio <= options.t_max:
             break
         try:
@@ -341,9 +349,10 @@ def stars(p: float) -> str:
 
 
 def p_values(result: EstimationResult) -> list:
-    """Per-effect (label, estimate, se, p, stars) rows, Table-style."""
+    """Per-effect (label, estimate, se, p, stars) rows, Table-style; an SE
+    of 0 or less has no p-value, so its row gets p = nan and no stars."""
     rows = []
     for label, est, se in zip(result.effect_labels, result.beta, result.beta_se):
-        p = p_value(est, se)
+        p = p_value(est, se) if se > 0 else float("nan")
         rows.append((label, float(est), float(se), p, stars(p)))
     return rows

@@ -13,6 +13,7 @@ import json
 import numpy as np
 import networkx as nx
 
+from .estimate import EstimationResult
 from .ingest import ArticleRecord, DisambiguationDictionary
 from .panel import (ActorSet, BinaryNetwork, BinaryNetSeries, DyadCovariate,
                     ActorCovariate, WeightedNetwork, WeightedNetSeries)
@@ -51,7 +52,7 @@ def _actor_index(actors, label, path, row) -> int:
 
 def read_actor_set(path) -> ActorSet:
     with open(path, encoding="utf-8") as fh:
-        ids = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        ids = [ln.strip() for ln in fh if _is_data(ln)]
     return ActorSet(tuple(ids))
 
 
@@ -63,9 +64,12 @@ def write_actor_set(actors: ActorSet, path):
 def read_records(path):
     out = []
     with open(path, encoding="utf-8") as fh:
-        for ln in fh:
+        for lineno, ln in enumerate(fh, 1):
             if ln.strip():
-                out.append(ArticleRecord.from_json(ln))
+                try:
+                    out.append(ArticleRecord.from_json(ln))
+                except (ValueError, TypeError) as exc:
+                    raise FileFormatError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -192,12 +196,12 @@ def write_actor_covariate(cov: ActorCovariate, actors, years, path, meta=None):
 def read_dyad_matrix(path, name, actors, transform="none") -> DyadCovariate:
     """Square matrix with ISO3 header row and leading label column."""
     rows = _open_rows(path)
-    header = rows[0][1:]
+    cols = [_actor_index(actors, lbl, path, 0) for lbl in rows[0][1:]]
     mat = np.zeros((actors.n, actors.n))
     for r, row in enumerate(rows[1:], 1):
         i = _actor_index(actors, row[0], path, r)
-        for lbl, cell in zip(header, row[1:]):
-            mat[i, _actor_index(actors, lbl, path, 0)] = float(cell)
+        for j, cell in zip(cols, row[1:]):
+            mat[i, j] = float(cell)
     return DyadCovariate.from_raw(name, mat, transform=transform)
 
 
@@ -237,26 +241,33 @@ def import_graphml(path, actors) -> BinaryNetwork:
     return BinaryNetwork(actors, 0, x)
 
 
+# The fields of `result_<slug>.json`; the draws go to `.npy` files.
+_RESULT_ARRAYS = ("theta", "se", "derivative", "covariance", "tratios",
+                  "targets")
+_RESULT_VALUES = ("rate_labels", "effect_labels", "conv_ratio", "iterations",
+                  "seed", "ridge_applied")
+
+
 def write_result_json(result, path, meta=None):
     """All EstimationResult fields except the simulation draws."""
-    obj = {
-        "theta": result.theta.tolist(),
-        "se": result.se.tolist(),
-        "rate_labels": result.rate_labels,
-        "effect_labels": result.effect_labels,
-        "derivative": result.derivative.tolist(),
-        "covariance": result.covariance.tolist(),
-        "tratios": result.tratios.tolist(),
-        "conv_ratio": result.conv_ratio,
-        "iterations": result.iterations,
-        "seed": result.seed,
-        "ridge_applied": result.ridge_applied,
-        "targets": result.targets.tolist(),
-        "meta": {k: str(v) for k, v in sorted((meta or {}).items())},
-    }
+    obj = {k: getattr(result, k).tolist() for k in _RESULT_ARRAYS}
+    obj.update((k, getattr(result, k)) for k in _RESULT_VALUES)
+    obj["meta"] = {k: str(v) for k, v in sorted((meta or {}).items())}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def read_result_json(path) -> EstimationResult:
+    """The result `write_result_json` wrote, without draws."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            stored = json.load(fh)
+        fields = {k: np.array(stored[k]) for k in _RESULT_ARRAYS}
+        fields.update((k, stored[k]) for k in _RESULT_VALUES)
+    except (ValueError, KeyError) as exc:
+        raise FileFormatError(f"{path}: not an estimation result ({exc!r})") from None
+    return EstimationResult(**fields)
 
 
 def write_draws(result, stats_path, finals_path):

@@ -49,6 +49,11 @@ class ArticleRecord:
     @classmethod
     def from_json(cls, line: str):
         obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise IngestError("record is not a JSON object")
+        missing = [k for k in ("id", "year", "affiliations") if k not in obj]
+        if missing:
+            raise IngestError(f"record lacks {', '.join(missing)}")
         domains = obj.get("domain", "unclassified")
         if isinstance(domains, str):
             domains = [domains]

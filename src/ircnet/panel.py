@@ -20,28 +20,24 @@ class ActorSet:
     """Fixed, lexicographically ordered set of actor labels (e.g. ISO3 codes)."""
 
     ids: tuple[str, ...]
+    _pos: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.ids)) != len(self.ids):
             raise PanelError("actor labels must be unique")
         object.__setattr__(self, "ids", tuple(sorted(self.ids)))
+        object.__setattr__(self, "_pos", {a: i for i, a in enumerate(self.ids)})
 
     @property
     def n(self) -> int:
         return len(self.ids)
 
     def index(self, label: str) -> int:
-        i = np.searchsorted(self.ids, label)
-        if i >= len(self.ids) or self.ids[i] != label:
-            raise KeyError(label)
-        return int(i)
+        """Position of `label`; KeyError if it is not in the set."""
+        return self._pos[label]
 
     def __contains__(self, label: str) -> bool:
-        try:
-            self.index(label)
-            return True
-        except KeyError:
-            return False
+        return label in self._pos
 
 
 def _check_square_symmetric(m: np.ndarray, n: int, what: str):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .effects import (STRUCTURAL_KINDS, ModelSpec, NetState, change_row,
-                      contribution)
+                      contribution, effect_totals)
 from .panel import BinaryNetwork, CovariateSet
 
 MAX_MINISTEPS = 10_000_000
@@ -53,7 +53,6 @@ class SimState(NetState):
         combined = np.zeros((n, n))
         density = 0.0
         self.terms = []        # (beta_k, effect): structural rows per ministep
-        self.covariates = []   # (k, contrib, valid): covariate effects
         for k, eff in enumerate(model.effects):
             if eff.kind == "density":
                 density += beta[k]
@@ -61,9 +60,7 @@ class SimState(NetState):
                 if beta[k] != 0.0:
                     self.terms.append((beta[k], eff))
             else:
-                contrib, valid = contribution(eff, covs, period)
-                self.covariates.append((k, contrib, valid))
-                combined += beta[k] * contrib
+                combined += beta[k] * contribution(eff, covs, period)[0]
         self.fixed = (combined + density) * self.sign
 
     def toggle(self, i: int, j: int):
@@ -128,10 +125,10 @@ def simulate_period(start: BinaryNetwork, model: ModelSpec,
                     rng=None, seed=None):
     """Run ministeps over one unit period.
 
-    Returns (end_network, effect_totals, n_changed_dyads) where the totals
-    are the per-effect network statistics of the end network (imputed
-    covariates excluded via the target mask) and n_changed_dyads is the
-    Hamming distance from the start wave.
+    Returns (end_network, totals, n_changed_dyads) where the totals are
+    `effect_totals` of the end network, read by the same formula as the
+    observed targets, and n_changed_dyads is the Hamming distance from the
+    start wave.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
@@ -140,31 +137,9 @@ def simulate_period(start: BinaryNetwork, model: ModelSpec,
         ministep(state)
     xi = state.x.astype(np.int8)
     end = BinaryNetwork(start.actors, start.year, xi)
-    totals = masked_totals(state)
+    totals = effect_totals(model.effects, state, covs, period)
     changed = int(np.count_nonzero(xi != start.x)) // 2
     return end, totals, changed
-
-
-def masked_totals(state: SimState) -> np.ndarray:
-    """Per-effect totals of the state's network, missing-covariate dyads excluded.
-
-    Matches the convention used for observed target statistics so that
-    method-of-moments deviations compare like with like.
-    """
-    x, deg = state.x, state.deg
-    totals = np.zeros(state.model.n_effects)
-    for k, eff in enumerate(state.model.effects):
-        if eff.kind == "density":
-            totals[k] = float(deg.sum())
-        elif eff.kind == "degPlus":
-            totals[k] = float(deg @ deg)  # sum_i (x @ deg)_i = deg . deg
-        elif eff.kind == "gwesp":
-            weight, _ = state.gwesp_tables(eff.gwesp_decay)
-            totals[k] = float((x * weight[state.esp]).sum())
-    for k, contrib, valid in state.covariates:
-        masked = contrib if valid is None else np.where(valid, contrib, 0.0)
-        totals[k] = float((x * masked).sum())
-    return totals
 
 
 def simulate_panel(panel, model: ModelSpec, covs: CovariateSet = None, rng=None,

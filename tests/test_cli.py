@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 
 from ircnet.cli import main
+from ircnet.estimate import EstimationResult
 from ircnet.fileio import (import_graphml, read_actor_set,
-                           read_binary_edgelist, read_weighted_edgelist)
+                           read_binary_edgelist, read_result_json,
+                           read_weighted_edgelist, write_result_json)
 
 ACTORS = ("CHN", "DEU", "FRA", "JPN", "NLD", "USA")
 NAMES = {"CHN": "Peoples R China", "DEU": "Germany", "FRA": "France",
@@ -246,6 +249,32 @@ class TestEstimateAndGof:
         assert snapshots[0] == snapshots[1]
 
 
+class TestResultFile:
+    def test_round_trip(self, tmp_path):
+        # every field but the draws, which go to .npy files
+        rng = np.random.default_rng(3)
+        res = EstimationResult(
+            theta=rng.normal(size=3), se=rng.random(3),
+            rate_labels=["rate period 1"],
+            effect_labels=["density", "acfree (simX)"],
+            derivative=rng.normal(size=(3, 3)),
+            covariance=rng.normal(size=(3, 3)),
+            tratios=np.array([0.1, -np.inf, 0.05]), conv_ratio=0.123456789,
+            iterations=17, seed=7, ridge_applied=True,
+            targets=rng.normal(size=3))
+        path = tmp_path / "result.json"
+        write_result_json(res, path, meta={"seed": 7})
+        back = read_result_json(path)
+        for f in dataclasses.fields(EstimationResult):
+            if f.name.startswith("draws_"):
+                continue
+            want, got = getattr(res, f.name), getattr(back, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            else:
+                assert type(got) is type(want) and got == want
+
+
 class TestExport:
     def test_graphml_round_trip(self, pipeline):
         root, _ = pipeline
@@ -280,7 +309,8 @@ class TestExitCodes:
         path.write_text("this is not a key value pair\n")
         assert main(["ingest", str(path)]) == 1
 
-    @pytest.mark.parametrize("key,value", [("n1", "ten"), ("t_max", "x")])
+    @pytest.mark.parametrize("key,value", [("n1", "ten"), ("t_max", "x"),
+                                           ("n1", "0"), ("initial_gain", "1.5")])
     def test_unparseable_estimation_value(self, tmp_path, capsys, key, value):
         root = str(tmp_path)
         write_fixtures(root, random_records(10))
@@ -290,6 +320,31 @@ class TestExitCodes:
         assert main(["estimate", cfg]) == 1
         err = capsys.readouterr().err
         assert repr(key) in err and repr(value) in err
+
+    @pytest.mark.parametrize("bad", [
+        "{not json",
+        '{"year": 2000, "affiliations": ["Japan"]}',
+        '{"id": "p2", "affiliations": ["Japan"]}',
+        '{"id": "p2", "year": 2000}',
+    ])
+    def test_malformed_record(self, tmp_path, capsys, bad):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(13, 3))
+        records = os.path.join(root, "records.jsonl")
+        with open(records, "a") as fh:
+            fh.write(bad + "\n")
+        assert main(["ingest", write_config(root)]) == 1
+        assert f"{records}:4" in capsys.readouterr().err
+
+    def test_unparseable_years(self, tmp_path, capsys):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(14))
+        cfg = write_config(root)
+        with open(cfg, "a") as fh:
+            fh.write("years = 2020-x\n")
+        assert main(["ingest", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "'years'" in err and "'2020-x'" in err
 
     def test_unknown_actor_in_edge_list(self, tmp_path, capsys):
         root = str(tmp_path)

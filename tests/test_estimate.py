@@ -4,7 +4,8 @@ import pytest
 from conftest import actor_set, random_graph
 from ircnet.effects import EffectSpec, ModelSpec
 from ircnet.estimate import (EstimationError, EstimationOptions,
-                             SingularDerivativeError, estimate, initialize,
+                             EstimationResult, SingularDerivativeError,
+                             estimate, initialize,
                              observed_targets, p_value, p_values,
                              phase1_derivative, phase2_update, phase3_finalize,
                              stars)
@@ -189,6 +190,17 @@ class TestPValues:
                        EstimationOptions(n1=25, n3=60, seed=12, keep_draws=False))
         rows = p_values(res)
         assert len(rows) == 1 and rows[0][0] == "density"
+
+    def test_zero_se_row_is_blank(self):
+        res = EstimationResult(
+            theta=np.array([2.0, -1.2, 0.4]), se=np.array([0.3, 0.0, 0.1]),
+            rate_labels=["rate period 1"], effect_labels=["density", "gwesp"],
+            derivative=np.eye(3), covariance=np.eye(3), tratios=np.zeros(3),
+            conv_ratio=0.1, iterations=5, seed=0)
+        (lbl0, b0, se0, p0, s0), row1 = p_values(res)
+        assert (lbl0, b0, se0, s0) == ("density", -1.2, 0.0, "")
+        assert np.isnan(p0)
+        assert row1 == ("gwesp", 0.4, 0.1, p_value(0.4, 0.1), "***")
 
 
 class TestOptionsValidation:

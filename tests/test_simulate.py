@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import actor_set, random_graph
-from ircnet.effects import ALL_KINDS, EffectSpec, ModelSpec, change_row
+from ircnet.effects import (ALL_KINDS, STRUCTURAL_KINDS, EffectSpec,
+                            ModelSpec, change_row, contribution, statistic)
 from ircnet.panel import (ActorCovariate, ActorSet, BinaryNetwork,
                           CovariateSet, DyadCovariate, empty_network)
 from ircnet.simulate import (SimState, SimulationError, ministep,
@@ -238,6 +239,26 @@ class TestKernel:
                     assert np.array_equal(state.fixed, fresh.fixed)
                 assert toggles > 0
 
+    @pytest.mark.parametrize("rule", ["forcing", "pairwise-conjunctive"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_period_totals_match_statistic(self, rng, kind, rule):
+        # simulated totals and observed targets read one formula: the
+        # totals a period returns are the masked statistic of its end network
+        eff = effect_of(kind)
+        effects = (EffectSpec("density"),) + ((eff,) if kind != "density" else ())
+        beta = np.array([-0.7, 0.4][:len(effects)])
+        for n in (5, 17):
+            covs = kernel_covs(rng, n)
+            assert covs.actor["ac"].missing.any()
+            model = ModelSpec(effects, beta=beta, rates=np.array([4.0]),
+                              model_type=rule)
+            for p in (0.1, 0.5):
+                end, totals, _ = simulate_period(random_graph(rng, n, p), model,
+                                                 covs, 0, seed=n)
+                expected = [statistic(e, end, covs, 0, use_mask=True)[0]
+                            for e in effects]
+                assert totals.tolist() == expected
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_partner_entry_matches_full_row(self, rng, kind):
         eff = effect_of(kind)
@@ -249,7 +270,8 @@ class TestKernel:
                 model = ModelSpec(effects, beta=beta, rates=np.array([1.0]),
                                   model_type="pairwise-conjunctive")
                 state = SimState(random_graph(rng, n, p), model, covs, 0)
-                contrib = state.covariates[0][1] if state.covariates else None
+                contrib = (None if kind in STRUCTURAL_KINDS
+                           else contribution(eff, covs, 0)[0])
                 for j in range(n):
                     row = state.objective_delta_row(j)
                     eff_row = change_row(eff, state, j, contrib)
