@@ -8,7 +8,6 @@ same configuration are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -42,16 +41,6 @@ def _outdir(cfg):
     return out
 
 
-def _write_table(path, header, rows, meta, notes=()):
-    """CSV table after `# key=value` lines: the sorted meta, then `notes`."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for k, v in sorted(meta.items()) + list(notes):
-            fh.write(f"# {k}={v}\n")
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows(rows)
-
-
 def cmd_ingest(cfg: RunConfig) -> int:
     actors = fileio.read_actor_set(cfg.get("actors", required=True))
     records = fileio.read_records(cfg.get("records", required=True))
@@ -68,8 +57,9 @@ def cmd_ingest(cfg: RunConfig) -> int:
                                        meta=meta)
         rows = [(r.year, r.nodes, r.edges, f"{r.density:.3f}", r.isolates)
                 for r in ingest.describe(series)]
-        _write_table(os.path.join(out, f"describe_{slug}.csv"),
-                     ["year", "nodes", "edges", "density", "isolates"], rows, meta)
+        fileio.write_table(os.path.join(out, f"describe_{slug}.csv"),
+                           ["year", "nodes", "edges", "density", "isolates"],
+                           rows, meta)
         print(f"{domain}: {sum(r[2] for r in rows)} weighted edges over "
               f"{len(years)} years -> weighted_{slug}.csv")
     return EXIT_OK
@@ -101,9 +91,9 @@ def cmd_backbone(cfg: RunConfig) -> int:
         fileio.write_weighted_edgelist(series,
                                        os.path.join(out, f"scored_{slug}.csv"),
                                        meta=meta, scores_by_year=scores_by_year)
-    _write_table(os.path.join(out, f"trimming_{slug}.csv"),
-                 ["year", "positive_edges", "retained_edges",
-                  "trimming_fraction", "isolate_share"], rows, meta)
+    fileio.write_table(os.path.join(out, f"trimming_{slug}.csv"),
+                       ["year", "positive_edges", "retained_edges",
+                        "trimming_fraction", "isolate_share"], rows, meta)
     print(f"backbone at alpha={alpha}: wrote backbone_{slug}.csv")
     return EXIT_OK
 
@@ -159,10 +149,9 @@ def cmd_estimate(cfg: RunConfig) -> int:
     rows = [(label, f"{b:.4f}", f"{se:.4f}",
              f"{p:.6f}" if np.isfinite(p) else "", star)
             for label, b, se, p, star in p_values(result)]
-    _write_table(os.path.join(out, f"estimates_{slug}.csv"),
-                 ["parameter", "estimate", "se", "p", "stars"], rows, meta)
-    report = "\n".join(f"# {k}={v}" for k, v in sorted(meta.items()))
-    report += "\n" + "\n".join(_report_lines(result)) + "\n"
+    fileio.write_table(os.path.join(out, f"estimates_{slug}.csv"),
+                       ["parameter", "estimate", "se", "p", "stars"], rows, meta)
+    report = fileio._meta_text(meta) + "\n".join(_report_lines(result)) + "\n"
     with open(os.path.join(out, f"report_{slug}.txt"), "w", encoding="utf-8") as fh:
         fh.write(report)
     print("\n".join(_report_lines(result)))
@@ -188,8 +177,8 @@ def cmd_gof(cfg: RunConfig) -> int:
                 for lbl, o, a, b, c in zip(aux.labels, aux.observed, aux.q05,
                                            aux.q50, aux.q95)]
         path = os.path.join(out, f"gof_{kind}_{slug}.csv")
-        _write_table(path, ["dimension", "observed", "q05", "q50", "q95"], rows,
-                     meta, [("p_value", f"{aux.p:.6f}")])
+        fileio.write_table(path, ["dimension", "observed", "q05", "q50", "q95"],
+                           rows, meta, [("p_value", f"{aux.p:.6f}")])
         print(f"{kind}: p = {aux.p:.4f} -> {os.path.basename(path)}")
     return EXIT_OK
 

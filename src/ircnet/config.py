@@ -47,7 +47,8 @@ class RunConfig:
             if not ln or ln.startswith("#"):
                 continue
             if "=" not in ln:
-                raise ConfigError(f"line {lineno}: expected key = value, got {ln!r}")
+                raise ConfigError(f"{path}:{lineno}: expected key = value, "
+                                  f"got {ln!r}")
             key, val = ln.split("=", 1)
             cfg.values[key.strip()] = val.strip()
         for key, val in (overrides or {}).items():

@@ -127,14 +127,12 @@ def similarity_mean(cov) -> float:
     return total / count
 
 
-def dyadic_contribution(effect: EffectSpec, covs: CovariateSet, period: int,
-                        imputed: bool = True):
+def dyadic_contribution(effect: EffectSpec, covs: CovariateSet, period: int):
     """(contrib, valid): per-dyad contribution matrix for a covariate effect.
 
     contrib[i, j] is what toggling tie (i, j) adds to actor i's statistic.
     `valid` is None for fully observed effects, else a boolean dyad mask of
-    entries backed by observed data (used for target statistics). With
-    imputed=True missing actor values are replaced by the grand mean.
+    entries backed by observed data (used for target statistics).
     """
     if effect.kind == "dyadX":
         return _dyad_cov(effect, covs).centered(), None

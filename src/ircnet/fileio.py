@@ -1,13 +1,13 @@
 """File formats: edge lists, covariates, dictionaries, records, GraphML.
 
 All delimited files are UTF-8 CSV with a header row; lines starting with
-'#' are metadata comments (config hash, seed) and are skipped on read.
+'#' are metadata comments (config hash, seed) and are skipped on read. A
+row that does not parse raises `FileFormatError("path:line: ...")`.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 
 import numpy as np
@@ -23,42 +23,49 @@ class FileFormatError(ValueError):
     pass
 
 
-def _meta_lines(meta):
-    return [f"# {k}={v}" for k, v in sorted((meta or {}).items())]
-
-
-def _is_data(line):
-    return line.strip() and not line.startswith("#")
-
-
-def _open_rows(path):
+def _rows(path):
+    """(line number, fields) for each data line of a delimited file; blank
+    and '#' lines are skipped but counted."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh if _is_data(ln)]
-    return list(csv.reader(lines))
+        lines = fh.readlines()
+    linenos = [k for k, ln in enumerate(lines, 1)
+               if ln.strip() and ln[0] != "#"]
+    yield from zip(linenos, csv.reader([lines[k - 1] for k in linenos]))
 
 
-def _actor_index(actors, label, path, row) -> int:
-    """Index of `label`; an unknown label is reported with the file line of
-    `_open_rows(path)[row]`, found by reading the file again."""
-    try:
-        return actors.index(label)
-    except KeyError:
-        pass
-    with open(path, encoding="utf-8") as fh:
-        data_lines = (k for k, ln in enumerate(fh, 1) if _is_data(ln))
-        lineno = next(itertools.islice(data_lines, row, None))
-    raise FileFormatError(f"{path}:{lineno}: unknown actor {label!r}")
+def _row_error(path, lineno, row, exc):
+    """The error for a data row whose fields did not parse: too few of them
+    (IndexError), an actor label not in the set (KeyError) or a number that
+    is not one (ValueError)."""
+    if isinstance(exc, IndexError):
+        what = f"too few fields in {','.join(row)!r}"
+    elif isinstance(exc, KeyError):
+        what = f"unknown actor {exc.args[0]!r}"
+    else:
+        what = str(exc)
+    return FileFormatError(f"{path}:{lineno}: {what}")
+
+
+def _meta_text(meta, notes=()):
+    """`# key=value` lines: the sorted `meta`, then `notes`."""
+    return "".join(f"# {k}={v}\n"
+                   for k, v in sorted((meta or {}).items()) + list(notes))
+
+
+def write_table(path, header, rows, meta=None, notes=()):
+    """CSV table after `# key=value` lines: the sorted `meta`, then `notes`.
+
+    The `#` lines end in \\n, the header and rows in \\r\\n (`csv.writer`'s
+    default)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_meta_text(meta, notes))
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
 
 
 def read_actor_set(path) -> ActorSet:
-    with open(path, encoding="utf-8") as fh:
-        ids = [ln.strip() for ln in fh if _is_data(ln)]
-    return ActorSet(tuple(ids))
-
-
-def write_actor_set(actors: ActorSet, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(actors.ids) + "\n")
+    return ActorSet(tuple(row[0].strip() for _, row in _rows(path)))
 
 
 def read_records(path):
@@ -78,7 +85,7 @@ def read_dictionary(path) -> DisambiguationDictionary:
     policy = "drop"
     mapping = {}
     with open(path, encoding="utf-8") as fh:
-        for ln in fh:
+        for lineno, ln in enumerate(fh, 1):
             ln = ln.rstrip("\n")
             if not ln.strip():
                 continue
@@ -89,56 +96,52 @@ def read_dictionary(path) -> DisambiguationDictionary:
                 continue
             parts = ln.split("\t") if "\t" in ln else ln.split(",", 1)
             if len(parts) != 2:
-                raise FileFormatError(f"bad dictionary line: {ln!r}")
+                raise FileFormatError(f"{path}:{lineno}: expected a raw name and "
+                                      f"an ISO3 code, got {ln!r}")
             mapping[parts[0].strip()] = parts[1].strip()
     return DisambiguationDictionary(mapping, policy)
 
 
 def write_weighted_edgelist(series, path, meta=None, scores_by_year=None):
     """`year,iso3_a,iso3_b,weight` rows (iso3_a < iso3_b), optional alpha col."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for ln in _meta_lines(meta):
-            fh.write(ln + "\n")
-        wr = csv.writer(fh)
-        header = ["year", "iso3_a", "iso3_b", "weight"]
-        if scores_by_year is not None:
-            header.append("alpha")
-        wr.writerow(header)
+    def rows():
         for net in series:
             ids = net.actors.ids
-            ii, jj = np.nonzero(np.triu(net.w, k=1))
-            for i, j in zip(ii, jj):
+            for i, j in zip(*np.nonzero(np.triu(net.w, k=1))):
                 row = [net.year, ids[i], ids[j], int(net.w[i, j])]
                 if scores_by_year is not None:
                     row.append(f"{scores_by_year[net.year].alpha[i, j]:.10g}")
-                wr.writerow(row)
+                yield row
+
+    header = ["year", "iso3_a", "iso3_b", "weight"]
+    if scores_by_year is not None:
+        header.append("alpha")
+    write_table(path, header, rows(), meta)
 
 
 def write_binary_edgelist(series, path, meta=None):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for ln in _meta_lines(meta):
-            fh.write(ln + "\n")
-        wr = csv.writer(fh)
-        wr.writerow(["year", "iso3_a", "iso3_b"])
-        for net in series:
-            ids = net.actors.ids
-            ii, jj = np.nonzero(np.triu(net.x, k=1))
-            for i, j in zip(ii, jj):
-                wr.writerow([net.year, ids[i], ids[j]])
+    rows = ([net.year, net.actors.ids[i], net.actors.ids[j]]
+            for net in series for i, j in zip(*np.nonzero(np.triu(net.x, k=1))))
+    write_table(path, ["year", "iso3_a", "iso3_b"], rows, meta)
 
 
 def _read_edgelist(path, actors, weighted, years=None):
-    rows = _open_rows(path)
-    if not rows or rows[0][0] != "year":
-        raise FileFormatError(f"{path}: missing edge-list header")
+    rows = _rows(path)
+    lineno, header = next(rows, (1, [""]))
+    if header[0] != "year":
+        raise FileFormatError(f"{path}:{lineno}: missing edge-list header")
+    n = actors.n
     data = {}
-    for r, row in enumerate(rows[1:], 1):
-        year = int(row[0])
-        a, b = row[1], row[2]
-        w = int(row[3]) if weighted else 1
-        mat = data.setdefault(year, np.zeros((actors.n, actors.n), dtype=np.int64))
-        i = _actor_index(actors, a, path, r)
-        j = _actor_index(actors, b, path, r)
+    for lineno, row in rows:
+        try:
+            year = int(row[0])
+            i, j = actors.index(row[1]), actors.index(row[2])
+            w = int(row[3]) if weighted else 1
+        except (IndexError, KeyError, ValueError) as exc:
+            raise _row_error(path, lineno, row, exc) from None
+        mat = data.get(year)
+        if mat is None:
+            mat = data[year] = np.zeros((n, n), dtype=np.int64)
         if weighted:
             mat[i, j] += w
         else:
@@ -148,7 +151,7 @@ def _read_edgelist(path, actors, weighted, years=None):
         years = sorted(data)
     nets = []
     for year in years:
-        mat = data.get(year, np.zeros((actors.n, actors.n), dtype=np.int64))
+        mat = data.get(year, np.zeros((n, n), dtype=np.int64))
         if weighted:
             nets.append(WeightedNetwork(actors, year, mat))
         else:
@@ -166,53 +169,49 @@ def read_binary_edgelist(path, actors, years=None) -> BinaryNetSeries:
 
 
 def read_actor_covariate(path, name, actors, years, transform="none") -> ActorCovariate:
-    """Long-format `iso3,year,value`; absent (actor, year) rows are missing."""
-    rows = _open_rows(path)
-    if rows and rows[0][0] == "iso3":
-        rows = rows[1:]
+    """Long-format `iso3,year,value`; absent (actor, year) rows are missing.
+
+    Rows of actors outside the set, the `iso3` header among them, and of
+    years outside `years` are skipped."""
     vals = np.full((actors.n, len(years)), np.nan)
     year_idx = {y: m for m, y in enumerate(years)}
-    for row in rows:
-        iso3, year, value = row[0], int(row[1]), row[2]
-        if iso3 not in actors or year not in year_idx:
+    for lineno, row in _rows(path):
+        if row[0] not in actors:
             continue
-        if value != "":
-            vals[actors.index(iso3), year_idx[year]] = float(value)
+        try:
+            year, value = int(row[1]), row[2]
+            if year in year_idx and value != "":
+                vals[actors.index(row[0]), year_idx[year]] = float(value)
+        except (IndexError, ValueError) as exc:
+            raise _row_error(path, lineno, row, exc) from None
     return ActorCovariate.from_raw(name, vals, transform=transform)
-
-
-def write_actor_covariate(cov: ActorCovariate, actors, years, path, meta=None):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for ln in _meta_lines(meta):
-            fh.write(ln + "\n")
-        wr = csv.writer(fh)
-        wr.writerow(["iso3", "year", "value"])
-        for i, iso3 in enumerate(actors.ids):
-            for m, year in enumerate(years[: cov.n_periods]):
-                if not cov.missing[i, m]:
-                    wr.writerow([iso3, year, f"{cov.values[i, m]:.10g}"])
 
 
 def read_dyad_matrix(path, name, actors, transform="none") -> DyadCovariate:
     """Square matrix with ISO3 header row and leading label column."""
-    rows = _open_rows(path)
-    cols = [_actor_index(actors, lbl, path, 0) for lbl in rows[0][1:]]
+    rows = _rows(path)
+    lineno, header = next(rows, (1, None))
+    if header is None:
+        raise FileFormatError(f"{path}:1: empty file, expected a header row "
+                              "of ISO3 codes")
+    try:
+        cols = [actors.index(lbl) for lbl in header[1:]]
+    except KeyError as exc:
+        raise _row_error(path, lineno, header, exc) from None
+    labels, values = [], []
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise FileFormatError(f"{path}:{lineno}: expected {len(header)} "
+                                  f"fields, got {len(row)}")
+        try:
+            labels.append(actors.index(row[0]))
+            values.append([float(cell) for cell in row[1:]])
+        except (KeyError, ValueError) as exc:
+            raise _row_error(path, lineno, row, exc) from None
     mat = np.zeros((actors.n, actors.n))
-    for r, row in enumerate(rows[1:], 1):
-        i = _actor_index(actors, row[0], path, r)
-        for j, cell in zip(cols, row[1:]):
-            mat[i, j] = float(cell)
+    if labels:
+        mat[np.ix_(labels, cols)] = values
     return DyadCovariate.from_raw(name, mat, transform=transform)
-
-
-def write_dyad_matrix(cov: DyadCovariate, actors, path, meta=None):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for ln in _meta_lines(meta):
-            fh.write(ln + "\n")
-        wr = csv.writer(fh)
-        wr.writerow([""] + list(actors.ids))
-        for i, iso3 in enumerate(actors.ids):
-            wr.writerow([iso3] + [f"{v:.10g}" for v in cov.values[i]])
 
 
 def export_graphml(net: BinaryNetwork, path, node_attrs=None, meta=None):

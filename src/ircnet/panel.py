@@ -130,6 +130,21 @@ class BinaryNetSeries(NetSeries):
     pass
 
 
+def _transformed(name, raw, transform):
+    """Raw covariate values under `transform`. NaN entries stay missing; an
+    observed value below 0 has no log1p."""
+    raw = np.asarray(raw, dtype=float)
+    if transform == "none":
+        return raw
+    if transform != "log1p":
+        raise PanelError(f"unknown transform {transform!r}")
+    negative = raw < 0
+    if negative.any():
+        raise PanelError(f"covariate {name}: log1p needs raw values >= 0, "
+                         f"got {raw[negative].min():g}")
+    return np.log1p(raw)
+
+
 @dataclass(frozen=True)
 class ActorCovariate:
     """Actor-by-period attribute with missingness mask and centering metadata.
@@ -163,13 +178,8 @@ class ActorCovariate:
         object.__setattr__(self, "missing", missing)
 
     @classmethod
-    def from_raw(cls, name, raw, missing=None, transform="none"):
-        raw = np.asarray(raw, dtype=float)
-        if transform == "log1p":
-            raw = np.log1p(raw)
-        elif transform != "none":
-            raise PanelError(f"unknown transform {transform!r}")
-        return cls(name, raw, missing, transform)
+    def from_raw(cls, name, raw, transform="none"):
+        return cls(name, _transformed(name, raw, transform), transform=transform)
 
     @property
     def n_periods(self) -> int:
@@ -223,12 +233,7 @@ class DyadCovariate:
 
     @classmethod
     def from_raw(cls, name, raw, transform="none"):
-        raw = np.asarray(raw, dtype=float)
-        if transform == "log1p":
-            raw = np.log1p(raw)
-        elif transform != "none":
-            raise PanelError(f"unknown transform {transform!r}")
-        return cls(name, raw, transform)
+        return cls(name, _transformed(name, raw, transform), transform)
 
     @property
     def centering_constant(self) -> float:

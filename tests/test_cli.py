@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import itertools
 import json
@@ -6,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from ircnet.backbone import disparity_scores
 from ircnet.cli import main
 from ircnet.estimate import EstimationResult
 from ircnet.fileio import (import_graphml, read_actor_set,
@@ -185,6 +187,33 @@ class TestBackbone:
             counts.append(sum(int(net.x.sum()) // 2 for net in panel))
         assert counts[0] <= counts[1] <= counts[2]
 
+    def test_alpha_column(self, tmp_path):
+        # scored_<slug>.csv is weighted_<slug>.csv plus each edge's
+        # disparity-filter score
+        root = str(tmp_path)
+        write_fixtures(root, random_records(5, 120))
+        cfg = write_config(root, extra="alpha_column = true\n")
+        assert main(["ingest", cfg]) == 0
+        assert main(["backbone", cfg]) == 0
+        out = os.path.join(root, "out")
+
+        def rows(name):
+            with open(os.path.join(out, name), newline="") as fh:
+                return list(csv.reader(ln for ln in fh
+                                       if not ln.startswith("#")))
+
+        weighted, scored = rows("weighted_ST.csv"), rows("scored_ST.csv")
+        assert len(weighted) > 1
+        assert scored[0] == weighted[0] + ["alpha"]
+        assert [row[:-1] for row in scored[1:]] == weighted[1:]
+        actors = read_actor_set(os.path.join(root, "actors.txt"))
+        series = read_weighted_edgelist(os.path.join(out, "weighted_ST.csv"),
+                                        actors, list(YEARS))
+        alpha = {net.year: disparity_scores(net).alpha for net in series}
+        for year, a, b, _, score in scored[1:]:
+            i, j = actors.index(a), actors.index(b)
+            assert score == f"{alpha[int(year)][i, j]:.10g}"
+
     def test_trimming_table_consistent(self, pipeline):
         root, _ = pipeline
         with open(os.path.join(root, "out", "trimming_ST.csv")) as fh:
@@ -287,6 +316,42 @@ class TestExport:
             assert np.array_equal(back.x, net.x)
 
 
+def _dyad_lines():
+    """A symmetric distance matrix over ACTORS, as the lines of its file."""
+    lines = ["," + ",".join(ACTORS)]
+    for code in ACTORS:
+        lines.append(code + "," + ",".join("0" if a == code else "1"
+                                           for a in ACTORS))
+    return lines
+
+
+def _dyad_text(lineno, line):
+    lines = _dyad_lines()
+    lines[lineno - 1] = line
+    return "\n".join(lines) + "\n"
+
+
+# (file kind, file text, line the error names)
+MALFORMED = [
+    pytest.param("panel", "year,iso3_a,iso3_b\n2000,CHN\n", 2,
+                 id="edge-row-short"),
+    pytest.param("panel", "year,iso3_a,iso3_b\n2000,CHN,DEU\nx,CHN,DEU\n", 3,
+                 id="edge-year"),
+    pytest.param("weighted", "# seed=7\nyear,iso3_a,iso3_b,weight\n"
+                 "2000,CHN,DEU,z\n", 3, id="edge-weight"),
+    pytest.param("dyad", "", 1, id="dyad-empty"),
+    pytest.param("dyad", _dyad_text(3, "DEU,abc,0,1,1,1,1"), 3, id="dyad-cell"),
+    pytest.param("dyad", _dyad_text(4, "FRA,1,1,0,1,1"), 4, id="dyad-row-short"),
+    pytest.param("actor", "iso3,year,value\nCHN,x,1\n", 2, id="actor-year"),
+    pytest.param("actor", "iso3,year,value\nDEU,2000,1\n\nCHN,2000,abc\n", 4,
+                 id="actor-value"),
+    pytest.param("actor", "iso3,year,value\nCHN,2000\n", 2,
+                 id="actor-row-short"),
+    pytest.param("dictionary", "# policy=drop\nJapan\tJPN\nAtlantis\n", 3,
+                 id="dictionary-line"),
+]
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["ingest", str(tmp_path / "nope.cfg")]) == 1
@@ -304,10 +369,11 @@ class TestExitCodes:
         assert main(["backbone", cfg]) == 0
         assert main(["estimate", cfg]) == 1
 
-    def test_malformed_config_line(self, tmp_path):
+    def test_malformed_config_line(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
-        path.write_text("this is not a key value pair\n")
+        path.write_text("seed = 7\nthis is not a key value pair\n")
         assert main(["ingest", str(path)]) == 1
+        assert f"{path}:2:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [("n1", "ten"), ("t_max", "x"),
                                            ("n1", "0"), ("initial_gain", "1.5")])
@@ -362,10 +428,7 @@ class TestExitCodes:
         # line 1 is the header row; line 3 is the row of the second actor
         root = str(tmp_path)
         write_fixtures(root, random_records(12))
-        lines = ["," + ",".join(ACTORS)]
-        for code in ACTORS:
-            lines.append(code + "," + ",".join("0" if a == code else "1"
-                                               for a in ACTORS))
+        lines = _dyad_lines()
         lines[bad_line - 1] = lines[bad_line - 1].replace(ACTORS[1], "ZZZ")
         dist = tmp_path / "dist.csv"
         dist.write_text("\n".join(lines) + "\n")
@@ -376,3 +439,22 @@ class TestExitCodes:
         assert main(["estimate", cfg]) == 1
         err = capsys.readouterr().err
         assert f"{dist}:{bad_line}" in err and "'ZZZ'" in err
+
+    @pytest.mark.parametrize("kind,text,line", MALFORMED)
+    def test_malformed_delimited_input(self, tmp_path, capsys, kind, text, line):
+        """Each malformed input exits 1 and names its file and line."""
+        root = str(tmp_path)
+        write_fixtures(root, random_records(15))
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        panel = tmp_path / "panel.csv"
+        panel.write_text("year,iso3_a,iso3_b\n2000,CHN,DEU\n2001,DEU,FRA\n")
+        command, extra = {
+            "panel": ("estimate", f"panel = {bad}"),
+            "weighted": ("backbone", f"weighted = {bad}"),
+            "actor": ("estimate", f"panel = {panel}\nactor_covariates = ac:{bad}"),
+            "dyad": ("estimate", f"panel = {panel}\ndyad_covariates = dist:{bad}"),
+            "dictionary": ("ingest", f"dictionary = {bad}"),
+        }[kind]
+        assert main([command, write_config(root, extra=extra + "\n")]) == 1
+        assert f"{bad}:{line}:" in capsys.readouterr().err

@@ -128,6 +128,20 @@ class TestCovariates:
         cov = ActorCovariate.from_raw("c", [[0.0], [np.e - 1]], transform="log1p")
         assert np.allclose(cov.values[:, 0], [0.0, 1.0])
 
+    @pytest.mark.parametrize("raw", [-1.0, -0.5, -3.0])
+    def test_log1p_rejects_negative_raw_value(self, raw):
+        # log1p(-1) is -inf and log1p(< -1) is nan: neither is a value
+        with pytest.raises(PanelError, match="covariate gdp"):
+            ActorCovariate.from_raw("gdp", [[1.0], [raw]], transform="log1p")
+        with pytest.raises(PanelError, match="covariate dist"):
+            DyadCovariate.from_raw("dist", [[0.0, raw], [raw, 0.0]],
+                                   transform="log1p")
+
+    def test_log1p_keeps_nan_missing(self):
+        cov = ActorCovariate.from_raw("gdp", [[np.nan], [0.0]], transform="log1p")
+        assert cov.missing[:, 0].tolist() == [True, False]
+        assert cov.values[1, 0] == 0.0
+
     def test_constant_covariate_broadcasts(self):
         cov = ActorCovariate("c", np.array([[1.0], [2.0]]))
         assert np.array_equal(cov.filled(7), cov.filled(0))
