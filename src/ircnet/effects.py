@@ -2,12 +2,13 @@
 
 Each effect defines a per-actor statistic s_i(x), in `_dyad_terms` alone
 (observed targets and simulated totals both read it), and an incremental
-change form used by the simulator: the difference in actor i's statistic
+change form, in `NetState.change_rows` alone (the simulator's lanes and
+`change_statistic` both read it): the difference in actor i's statistic
 when the tie (i, j) is toggled. Both read a `NetState`, which keeps the
-degrees, shared-partner counts and toggle signs of the network up to date
-per toggle. Covariate effects read grand-mean-centered values; missing
-entries are imputed to the mean (contributing 0) during simulation and
-excluded from observed target sums.
+degrees and shared-partner counts of its networks up to date per toggle.
+Covariate effects read grand-mean-centered values; missing entries are
+imputed to the mean (contributing 0) during simulation and excluded from
+observed target sums.
 """
 
 from __future__ import annotations
@@ -160,24 +161,36 @@ def dyadic_contribution(effect: EffectSpec, covs: CovariateSet, period: int):
     return contrib, valid
 
 
-def contribution(effect: EffectSpec, covs: CovariateSet, period: int):
-    """`dyadic_contribution(effect, covs, period)`, built once per covariate set.
+def contribution(effect: EffectSpec, covs: CovariateSet):
+    """(contrib, valid): `dyadic_contribution` stacked over the covariate's
+    periods, built once per covariate set.
 
-    The matrices do not depend on beta, so a fit that simulates hundreds of
-    periods builds each (effect, period) pair once. The memo lives on `covs`
-    and remembers the covariate object each entry was built from, so a
-    replaced covariate is rebuilt. The returned arrays are read-only.
+    Layer q is period q's matrix; `layer(contrib, period)` names the layer a
+    period reads (a dyadic or single-column covariate has one). `valid` is
+    None when every period is fully observed. The stacks do not depend on
+    beta, so a fit that simulates thousands of periods builds each once. The
+    memo lives on `covs` and remembers the covariate object each entry was
+    built from, so a replaced covariate is rebuilt. The arrays are read-only.
     """
     source = (_dyad_cov if effect.kind == "dyadX" else _actor_cov)(effect, covs)
-    key = (effect, period)
-    hit = covs.derived.get(key)
+    hit = covs.derived.get(effect)
     if hit is None or hit[0] is not source:
-        contrib, valid = dyadic_contribution(effect, covs, period)
-        contrib.setflags(write=False)
-        if valid is not None:
+        periods = 1 if effect.kind == "dyadX" else source.n_periods
+        built = [dyadic_contribution(effect, covs, q) for q in range(periods)]
+        contrib = np.stack([c for c, _ in built])
+        valid = None
+        if any(v is not None for _, v in built):
+            valid = np.stack([np.ones(c.shape, bool) if v is None else v
+                              for c, v in built])
             valid.setflags(write=False)
-        hit = covs.derived[key] = (source, contrib, valid)
+        contrib.setflags(write=False)
+        hit = covs.derived[effect] = (source, contrib, valid)
     return hit[1], hit[2]
+
+
+def layer(contrib: np.ndarray, period):
+    """The layer of a `contribution` stack that `period` reads (arrays too)."""
+    return np.minimum(period, len(contrib) - 1)
 
 
 def statistic(effect: EffectSpec, net: BinaryNetwork, covs: CovariateSet = None,
@@ -192,43 +205,52 @@ def statistic(effect: EffectSpec, net: BinaryNetwork, covs: CovariateSet = None,
     return float(terms.sum()), terms.sum(axis=1)
 
 
-class NetState:
-    """An undirected network plus the values change rows read, each kept up
-    to date by `toggle` in O(n) work.
+TOGGLE_SIGN = np.array([1, -1], dtype=np.int8)   # 1 - 2x: +1 adds, -1 removes
 
-    x: float adjacency. deg: degrees. esp: shared-partner counts x @ x, as
-    integers (the diagonal is not kept up to date). sign: 1 - 2x, the
-    direction of toggling each dyad (+1 adds a tie, -1 removes it).
+
+class NetState:
+    """Undirected networks on one actor set, stacked as lanes along a leading
+    axis, plus the values change rows read, each kept up to date by `toggle`
+    in O(n) work per lane. One network is a state of one lane.
+
+    x: (L, n, n) int8 adjacency. deg: (L, n) int16 degrees. esp: (L, n, n)
+    int16 shared-partner counts x @ x, or None if not kept (only gwesp
+    reads it). The arrays are taken as given where their types allow, so a
+    state of a read-only network cannot be toggled. Given `deg` (and `esp`)
+    of x, the constructor does not recount them.
     """
 
-    def __init__(self, x):
-        x = np.array(x, dtype=float)
-        self.x = x
-        self.deg = x.sum(axis=1)
-        self.esp = (x @ x).astype(np.intp)
-        self.sign = 1.0 - 2.0 * x
+    def __init__(self, x, deg=None, esp=None):
+        x = np.asarray(x, dtype=np.int8)
+        self.x = x[None] if x.ndim == 2 else x
+        if deg is None:
+            deg = self.x.sum(axis=2)
+            xf = self.x.astype(float)
+            esp = np.matmul(xf, xf)
+        self.deg = np.asarray(deg, dtype=np.int16)
+        self.esp = None if esp is None else np.asarray(esp, dtype=np.int16)
         self._gwesp = {}
 
-    def toggle(self, i: int, j: int):
-        """Add tie (i, j) if absent, else remove it."""
-        x, esp = self.x, self.esp
-        s = self.sign[i, j]
-        if s < 0:
-            x[i, j] = x[j, i] = 0.0
-        # neighbours taken while (i, j) is absent: the shared partners of i
-        # and h move by one for every h adjacent to j, and vice versa
-        ni, nj = x[i].nonzero()[0], x[j].nonzero()[0]
-        if s > 0:
-            x[i, j] = x[j, i] = 1.0
-        d = 1 if s > 0 else -1
-        # fancy-index a row or column view: cheaper than esp[i, nj]
-        esp[i][nj] += d
-        esp[:, i][nj] += d
-        esp[j][ni] += d
-        esp[:, j][ni] += d
-        self.deg[i] += s
-        self.deg[j] += s
-        self.sign[i, j] = self.sign[j, i] = -s
+    def toggle(self, lanes, i, j):
+        """In lane lanes[r], add tie (i[r], j[r]) if absent, else remove it."""
+        x = self.x
+        d = TOGGLE_SIGN[x[lanes, i, j]]
+        ends = np.empty((len(lanes), 2), dtype=np.intp)
+        ends[:, 0], ends[:, 1] = i, j
+        other = ends[:, ::-1]
+        at = lanes[:, None]
+        if self.esp is not None:
+            before = x[at, other]   # each end's row holds the other's, before
+        x[at, ends, other] = (d > 0)[:, None]
+        self.deg[at, ends] += d[:, None]
+        if self.esp is None:
+            return
+        # the row of each end moves by d times the other end's row before the
+        # toggle, its column by d times that row after it: every entry of
+        # x @ x once, the diagonal (the degree) included
+        d = d[:, None, None]
+        self.esp[at, ends] += d * before
+        self.esp[at, :, ends] += d * x[at, other]
 
     def gwesp_tables(self, decay: float):
         """(weight, steps) indexed by shared-partner count e = 0..n.
@@ -239,7 +261,7 @@ class NetState:
         """
         tables = self._gwesp.get(decay)
         if tables is None:
-            e = np.arange(self.x.shape[0] + 1, dtype=float)
+            e = np.arange(self.x.shape[-1] + 1, dtype=float)
             c = 1.0 - math.exp(-decay)
             ea = math.exp(decay)
             steps = np.stack((ea * (1.0 - c) * np.power(c, e),
@@ -248,49 +270,63 @@ class NetState:
             tables = self._gwesp[decay] = (weight, steps)
         return tables
 
-    def change_entry(self, effect: EffectSpec, i: int, j: int,
-                     contrib: np.ndarray = None) -> float:
-        """Entry j of `change_row(effect, self, i, contrib)`, computed alone."""
-        s = self.sign[i, j]
+    def change_rows(self, effect: EffectSpec, lanes, i, contrib=None,
+                    cols=None) -> np.ndarray:
+        """The one definition of each effect's change: in lane lanes[r], the
+        change in actor i[r]'s statistic when tie (i[r], j) toggles.
+
+        Returns a (k, n) array over every j, or, given `cols`, a (k,) array
+        for j = cols[r] alone; an entry equals the row's entry bit for bit.
+        Covariate effects pass `contrib`, their `contribution` values at the
+        same positions. Entry i of a row is meaningless (self-toggle is not
+        an option).
+        """
+        x_i, at = self.ties(lanes, i, cols)
+        return (1 - 2 * at) * self.unsigned_rows(effect, lanes, i, x_i, at,
+                                                 contrib, cols)
+
+    def ties(self, lanes, i, cols=None):
+        """(x_i, at): actor i[r]'s adjacency row in lane lanes[r], and its
+        entries at `cols` (the row itself without `cols`)."""
+        x_i = self.x[lanes, i]
+        return x_i, x_i if cols is None else x_i[np.arange(len(lanes)), cols]
+
+    def unsigned_rows(self, effect: EffectSpec, lanes, i, x_i, at,
+                      contrib=None, cols=None):
+        """`change_rows` without its sign 1 - 2x: what adding an absent tie
+        adds, or what removing a present one takes away. (x_i, at) are
+        `ties(lanes, i, cols)`. Density gives the scalar 1."""
         if effect.kind == "density":
-            return s
+            return 1
         if effect.kind == "degPlus":
-            return self.deg[j] + 1.0 if s > 0 else -self.deg[j]
+            # adding tie (i,j): partner degree becomes deg_j + 1; removing: deg_j
+            deg = self.deg[lanes] if cols is None else self.deg[lanes, cols]
+            return deg + (1 - at)
         if effect.kind == "gwesp":
             weight, steps = self.gwesp_tables(effect.gwesp_decay)
-            esp = self.esp[i]
-            shared = (self.x[i] * self.x[j]).nonzero()[0]
-            step = steps[0 if s > 0 else 1]
-            return s * (weight[esp[j]] + step.take(esp.take(shared)).sum())
+            esp = self.esp[lanes, i] if cols is None else self.esp[lanes, i, cols]
+            return weight[esp] + self._partner_steps(steps, lanes, i, x_i, at,
+                                                     cols)
         if contrib is None:
-            raise EffectError(f"effect {effect.kind} needs a contribution matrix")
-        return s * contrib[i, j]
+            raise EffectError(f"effect {effect.kind} needs its contribution")
+        return contrib
 
-
-def change_row(effect: EffectSpec, state: NetState, i: int,
-               contrib: np.ndarray = None) -> np.ndarray:
-    """Vector over j of the change in actor i's statistic when (i, j) toggles.
-
-    For covariate effects pass the `dyadic_contribution` matrix. Entry i of
-    the result is meaningless (self-toggle is not an option).
-    """
-    sign = state.sign[i]
-    if effect.kind == "density":
-        return sign.copy()
-    if effect.kind == "degPlus":
-        # adding tie (i,j): partner degree becomes deg_j + 1; removing: -deg_j
-        return np.where(sign > 0, state.deg + 1.0, -state.deg)
-    if effect.kind == "gwesp":
-        weight, steps = state.gwesp_tables(effect.gwesp_decay)
-        esp = state.esp[i]
-        nbrs = state.x[i].nonzero()[0]
-        # toggling (i,j) shifts esp of every edge (i,h) with h adjacent to j:
-        # row 0 sums the gains (adding), row 1 the losses (removing)
-        corr = steps.take(esp.take(nbrs), axis=1) @ state.x.take(nbrs, axis=0)
-        return sign * (weight.take(esp) + np.where(sign > 0, corr[0], corr[1]))
-    if contrib is None:
-        raise EffectError(f"effect {effect.kind} needs a contribution matrix")
-    return sign * contrib[i]
+    def _partner_steps(self, steps, lanes, i, x_i, at, cols):
+        """The gwesp change of i's other edges: toggling (i, j) shifts the
+        shared partners of every edge (i, h) with h adjacent to j by one, a
+        gain steps[0, e_ih] when the tie is added, a loss steps[1, e_ih]
+        when it is removed. `bincount` adds the terms of each entry in
+        ascending h, from the lane's own values only."""
+        r, h = np.nonzero(x_i)                  # the neighbours h of i
+        e = self.esp[lanes[r], i[r], h]
+        if cols is not None:
+            w = steps[at[r], e] * self.x[lanes[r], h, cols[r]]
+            return np.bincount(r, w, minlength=len(lanes))
+        k, n = x_i.shape
+        m, j = np.nonzero(self.x[lanes[r], h])  # the ties (h, j)
+        r = r[m]
+        w = steps[at[r, j], e[m]]
+        return np.bincount(r * n + j, w, minlength=k * n).reshape(k, n)
 
 
 def change_statistic(effect: EffectSpec, net: BinaryNetwork, i: int, j: int,
@@ -300,40 +336,45 @@ def change_statistic(effect: EffectSpec, net: BinaryNetwork, i: int, j: int,
         raise EffectError("self-ties are not defined")
     contrib = None
     if effect.kind not in STRUCTURAL_KINDS:
-        contrib, _ = contribution(effect, covs, period)
-    return float(change_row(effect, NetState(net.x), i, contrib)[j])
+        stack, _ = contribution(effect, covs)
+        contrib = stack[layer(stack, period), i][None]
+    lane, actor = np.zeros(1, np.intp), np.array([i])
+    return float(NetState(net.x).change_rows(effect, lane, actor, contrib)[0, j])
 
 
 def _dyad_terms(effect: EffectSpec, state: NetState, covs: CovariateSet,
-                period: int, use_mask: bool) -> np.ndarray:
+                period: int, use_mask: bool, lane: int = 0) -> np.ndarray:
     """The one definition of each effect's statistic: a dyad matrix whose
-    row i sums to actor i's statistic on `state` and whose sum is the total.
+    row i sums to actor i's statistic on lane `lane` of `state` and whose sum
+    is the total.
 
     use_mask=True zeroes dyads with missing covariate data.
     """
-    x = state.x
+    x = state.x[lane]
     if effect.kind == "density":
         return x
     if effect.kind == "degPlus":
-        return x * state.deg  # row i sums x_ij deg_j
+        return x * state.deg[lane]  # row i sums x_ij deg_j
     if effect.kind == "gwesp":
         weight, _ = state.gwesp_tables(effect.gwesp_decay)
-        return x * weight[state.esp]  # the stale esp diagonal meets x_ii = 0
-    contrib, valid = contribution(effect, covs, period)
+        return x * weight[state.esp[lane]]
+    contrib, valid = contribution(effect, covs)
+    q = layer(contrib, period)
     if use_mask and valid is not None:
-        contrib = np.where(valid, contrib, 0.0)
-    return x * contrib
+        return x * np.where(valid[q], contrib[q], 0.0)
+    return x * contrib[q]
 
 
 def effect_totals(effects, state: NetState, covs: CovariateSet = None,
-                  period: int = 0) -> np.ndarray:
-    """Per-effect totals on `state`, dyads with missing covariate data excluded.
+                  period: int = 0, lane: int = 0) -> np.ndarray:
+    """Per-effect totals on lane `lane` of `state`, dyads with missing
+    covariate data excluded.
 
     Observed targets and simulated statistics both come from here, so the
     method-of-moments deviations compare like with like.
     """
-    return np.array([_dyad_terms(eff, state, covs, period, True).sum()
-                     for eff in effects])
+    return np.array([_dyad_terms(eff, state, covs, period, True, lane).sum()
+                     for eff in effects], dtype=float)
 
 
 def target_statistics(panel: BinaryNetSeries, model: ModelSpec,

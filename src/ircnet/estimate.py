@@ -3,7 +3,8 @@
 Parameters are theta = [rates per period, beta per effect]. The observed
 targets are the per-period changed-dyad counts and the per-effect totals
 on the end-of-period waves. Phase 1 estimates the derivative of expected
-statistics by common-random-number finite differences, phase 2 iterates
+statistics (rates by common-random-number finite differences, effects by
+the score function given enough replicates), phase 2 iterates
 Robbins-Monro updates with halving gains, phase 3 simulates at the fixed
 estimate to obtain the statistic covariance, standard errors, and
 convergence diagnostics.
@@ -17,13 +18,18 @@ import numpy as np
 from scipy.stats import norm as _norm
 
 from .effects import ModelSpec, target_statistics
-from .panel import BinaryNetSeries, CovariateSet, hamming
-from .simulate import simulate_panel
+from .panel import BinaryNetSeries, BinaryNetwork, CovariateSet, hamming
+from .simulate import (Task, panel_stats, period_streams, simulate_panel,
+                       simulate_period, start_states)
 
 RATE_FLOOR = 0.01
 INITIAL_RATE_FALLBACK = 0.5
 DIVERGENCE_NORM = 1e3
 RESTARTS = 2        # phase-2 reruns while conv_ratio > t_max
+# phase-1 replicates per coefficient of the score regression (q scores and
+# an intercept); below that the regression is singular or too noisy, and
+# the effects' columns fall back to finite differences
+SCORE_REPLICATES = 4
 
 
 class EstimationError(RuntimeError):
@@ -146,37 +152,74 @@ def initialize(panel: BinaryNetSeries, model: ModelSpec,
     return np.concatenate([rates, beta])
 
 
-def _simulate_stats(theta, panel, model, covs, rng, n_periods):
-    m = _with_theta(model, theta, n_periods)
-    stats, ends = simulate_panel(panel, m, covs, rng=rng)
-    return stats, ends
-
-
 def phase1_derivative(theta, panel, model, covs, options: EstimationOptions,
-                      rng=None, check=True) -> np.ndarray:
-    """Finite-difference estimate of d E[S] / d theta.
+                      rng=None, check=True, starts=None) -> np.ndarray:
+    """Monte Carlo estimate of d E[S] / d theta from n1 panel replicates.
 
-    Each replicate simulates the panel at theta and at theta + h e_k for
-    every coordinate with common random numbers (identical child seeds),
-    so the difference quotients share their simulation noise.
+    Rate m's column is a finite difference with common random numbers: the
+    replicate's period m re-simulated at rate m + h on the same stream. Rate
+    m moves period m alone, so its entries for the other periods'
+    changed-dyad counts are exactly 0.
+
+    The effects' columns come from the score function when there are at
+    least SCORE_REPLICATES * (effects + 1) replicates: d E[S] / d beta =
+    Cov(S, G) with G the beta-score of the replicate's paths (Schweinberger
+    & Snijders 2007), estimated per period as B I, where B regresses the
+    period's statistics on its score and I, the mean of the score's summed
+    per-step conditional covariances, estimates Cov(G) = E[G G'] without
+    the regression's sampling noise. With fewer replicates each effect
+    column is a finite difference like the rates', re-simulating every
+    period. All replicates and columns run as one batch. `starts` are
+    `start_states(panel)`, if the caller has them.
     """
     if rng is None:
         rng = np.random.default_rng(options.seed)
     n_periods = panel.n_waves - 1
+    starts = starts or start_states(panel)
     p = len(theta)
     h = options.derivative_step
-    d_sum = np.zeros((p, p))
+    by_score = options.n1 >= SCORE_REPLICATES * (p - n_periods + 1)
+    base_model = _with_theta(model, theta, n_periods)
+    columns = []    # (coordinate, model, periods it re-simulates)
+    for k in range(n_periods if by_score else p):
+        pert = np.array(theta, dtype=float)
+        pert[k] += h
+        columns.append((k, _with_theta(model, pert, n_periods),
+                        [k] if k < n_periods else range(n_periods)))
+    tasks = []
     for _ in range(options.n1):
-        child_seed = int(rng.integers(2**62))
-        base, _ = _simulate_stats(theta, panel, model, covs,
-                                  np.random.default_rng(child_seed), n_periods)
-        for k in range(p):
-            pert = theta.copy()
-            pert[k] += h
-            s_k, _ = _simulate_stats(pert, panel, model, covs,
-                                     np.random.default_rng(child_seed), n_periods)
-            d_sum[:, k] += (s_k - base) / h
+        streams = period_streams(rng, n_periods)
+        for _, col_model, periods in [(None, base_model, range(n_periods))] + columns:
+            tasks += [Task(starts[m], col_model, m, streams[m]) for m in periods]
+    totals, changed, _, *scores = simulate_period(tasks, covs=covs,
+                                                  scores=by_score)
+    d_sum = np.zeros((p, p))
+    bases = []      # each replicate's first base task
+    at = 0
+    for _ in range(options.n1):
+        bases.append(at)
+        base_totals = totals[at:at + n_periods]
+        base_changed = changed[at:at + n_periods]
+        at += n_periods
+        base = panel_stats(base_changed, base_totals)
+        for k, _, periods in columns:
+            col_totals, col_changed = base_totals.copy(), base_changed.copy()
+            col_totals[periods] = totals[at:at + len(periods)]
+            col_changed[periods] = changed[at:at + len(periods)]
+            at += len(periods)
+            d_sum[:, k] += (panel_stats(col_changed, col_totals) - base) / h
     d = d_sum / options.n1
+    if by_score:
+        score, info = scores
+        for m in range(n_periods):
+            runs = np.array(bases) + m
+            stats = np.column_stack((changed[runs], totals[runs]))
+            g = score[runs]
+            coef = np.linalg.lstsq(g - g.mean(axis=0), stats - stats.mean(axis=0),
+                                   rcond=None)[0]
+            slope = coef.T @ info[runs].mean(axis=0)
+            d[m, n_periods:] = slope[0]
+            d[n_periods:, n_periods:] += slope[1:]
     if check:
         cond = np.linalg.cond(d)
         if not np.isfinite(cond) or cond > 1e10:
@@ -187,20 +230,21 @@ def phase1_derivative(theta, panel, model, covs, options: EstimationOptions,
 
 
 def phase2_update(theta, deriv, panel, model, covs, options: EstimationOptions,
-                  rng=None):
+                  rng=None, starts=None):
     """Robbins-Monro iterations over halving-gain subphases.
 
     Within a subphase: theta <- theta - a * D^-1 (S_sim - s_obs), one
-    simulation per iteration. A subphase ends when the running mean of
-    successive deviation inner products turns negative (deviations are
-    oscillating around zero, so the remaining error is noise) after a
-    minimum number of iterations, or at the hard cap. The gain halves
-    between subphases; the estimate is the average of theta over the final
-    subphase. Returns (theta_hat, total_iterations).
+    panel simulation (one batch of its periods) per iteration. A subphase
+    ends when the running mean of successive deviation inner products turns
+    negative (deviations are oscillating around zero, so the remaining
+    error is noise) after a minimum number of iterations, or at the hard
+    cap. The gain halves between subphases; the estimate is the average of
+    theta over the final subphase. Returns (theta_hat, total_iterations).
     """
     if rng is None:
         rng = np.random.default_rng(options.seed)
     n_periods = panel.n_waves - 1
+    starts = starts or start_states(panel)
     s_obs = observed_targets(panel, model, covs)
     d_inv = np.linalg.pinv(deriv)
     p = len(theta)
@@ -214,7 +258,8 @@ def phase2_update(theta, deriv, panel, model, covs, options: EstimationOptions,
         cross_sum = 0.0
         thetas = []
         for it in range(cap):
-            stats, _ = _simulate_stats(theta, panel, model, covs, rng, n_periods)
+            stats, _ = simulate_panel(panel, _with_theta(model, theta, n_periods),
+                                      covs, rng=rng, starts=starts)
             dev = stats - s_obs
             theta = theta - gain * (d_inv @ dev)
             theta[:n_periods] = np.maximum(theta[:n_periods], RATE_FLOOR)
@@ -236,20 +281,32 @@ def phase2_update(theta, deriv, panel, model, covs, options: EstimationOptions,
 
 
 def phase3_finalize(theta_hat, panel, model, covs, options: EstimationOptions,
-                    rng=None, iterations=0) -> EstimationResult:
-    """Simulate at the fixed estimate; derive SEs and convergence diagnostics."""
+                    rng=None, iterations=0, starts=None) -> EstimationResult:
+    """Simulate at the fixed estimate; derive SEs and convergence diagnostics.
+
+    The n3 draws run as one batch, and the derivative as another."""
     if rng is None:
         rng = np.random.default_rng(options.seed)
     n_periods = panel.n_waves - 1
+    starts = starts or start_states(panel)
     s_obs = observed_targets(panel, model, covs)
     p = len(theta_hat)
+    model_hat = _with_theta(model, theta_hat, n_periods)
+    last = n_periods - 1
+    tasks = []
+    for _ in range(options.n3):
+        streams = period_streams(rng, n_periods)
+        tasks += [Task(starts[m], model_hat, m, streams[m],
+                       keep_end=options.keep_draws and m == last)
+                  for m in range(n_periods)]
+    totals, changed, ends = simulate_period(tasks, covs=covs)
     stats = np.empty((options.n3, p))
-    finals = []
     for r in range(options.n3):
-        stats[r], ends = _simulate_stats(theta_hat, panel, model, covs, rng,
-                                         n_periods)
-        if options.keep_draws:
-            finals.append(ends[-1])
+        draw = slice(r * n_periods, (r + 1) * n_periods)
+        stats[r] = panel_stats(changed[draw], totals[draw])
+    finals = [BinaryNetwork(panel.actors, panel.wave(last).year,
+                            ends[r * n_periods + last])
+              for r in range(options.n3) if options.keep_draws]
     sigma = np.cov(stats, rowvar=False)
     sigma = np.atleast_2d(sigma)
     ridge = False
@@ -257,7 +314,7 @@ def phase3_finalize(theta_hat, panel, model, covs, options: EstimationOptions,
         sigma = sigma + 1e-8 * np.eye(p)
         ridge = True
     deriv = phase1_derivative(theta_hat, panel, model, covs, options, rng,
-                              check=False)
+                              check=False, starts=starts)
     d_inv = np.linalg.pinv(deriv)
     cov_theta = d_inv @ sigma @ d_inv.T
     se = np.sqrt(np.maximum(np.diag(cov_theta), 0.0))
@@ -295,21 +352,23 @@ def estimate(panel: BinaryNetSeries, model: ModelSpec, covs: CovariateSet = None
     rng1, rng2, rng3 = (np.random.default_rng(s)
                         for s in np.random.SeedSequence(options.seed).spawn(3))
     theta0 = initialize(panel, model, covs)
+    starts = start_states(panel)
     deriv = None
     for attempt in range(3):
         try:
-            # noise can make a small-n1 finite-difference estimate singular;
+            # noise can make a small-n1 derivative estimate singular;
             # retry with more replicates before giving up on the model
             opts1 = replace(options, n1=options.n1 * 2 ** attempt)
-            deriv = phase1_derivative(theta0, panel, model, covs, opts1, rng1)
+            deriv = phase1_derivative(theta0, panel, model, covs, opts1, rng1,
+                                      starts=starts)
             break
         except SingularDerivativeError:
             if attempt == 2:
                 raise
     theta_hat, iters = phase2_update(theta0, deriv, panel, model, covs, options,
-                                     rng2)
+                                     rng2, starts)
     result = phase3_finalize(theta_hat, panel, model, covs, options, rng3,
-                             iterations=iters)
+                             iterations=iters, starts=starts)
     # if the deviations have not levelled off, restart phase 2 from the
     # current estimate (the usual remedy for an unconverged run)
     for _ in range(RESTARTS):
@@ -317,11 +376,12 @@ def estimate(panel: BinaryNetSeries, model: ModelSpec, covs: CovariateSet = None
             break
         try:
             deriv = phase1_derivative(result.theta, panel, model, covs,
-                                      options, rng1, check=False)
+                                      options, rng1, check=False, starts=starts)
             theta_hat, more = phase2_update(result.theta, deriv, panel, model,
-                                            covs, options, rng2)
+                                            covs, options, rng2, starts)
             candidate = phase3_finalize(theta_hat, panel, model, covs, options,
-                                        rng3, iterations=iters + more)
+                                        rng3, iterations=iters + more,
+                                        starts=starts)
         except DivergenceError:
             break
         if candidate.conv_ratio >= result.conv_ratio:

@@ -139,6 +139,9 @@ def _read_edgelist(path, actors, weighted, years=None):
             w = int(row[3]) if weighted else 1
         except (IndexError, KeyError, ValueError) as exc:
             raise _row_error(path, lineno, row, exc) from None
+        if i == j or w < 0:
+            what = f"self-loop at {row[1]}" if i == j else f"negative weight {w}"
+            raise FileFormatError(f"{path}:{lineno}: {what}")
         mat = data.get(year)
         if mat is None:
             mat = data[year] = np.zeros((n, n), dtype=np.int64)
@@ -188,16 +191,17 @@ def read_actor_covariate(path, name, actors, years, transform="none") -> ActorCo
 
 
 def read_dyad_matrix(path, name, actors, transform="none") -> DyadCovariate:
-    """Square matrix with ISO3 header row and leading label column."""
+    """Square matrix with ISO3 header row and leading label column; every
+    actor of the set needs a row and a column."""
     rows = _rows(path)
-    lineno, header = next(rows, (1, None))
+    lineno_header, header = next(rows, (1, None))
     if header is None:
         raise FileFormatError(f"{path}:1: empty file, expected a header row "
                               "of ISO3 codes")
     try:
         cols = [actors.index(lbl) for lbl in header[1:]]
     except KeyError as exc:
-        raise _row_error(path, lineno, header, exc) from None
+        raise _row_error(path, lineno_header, header, exc) from None
     labels, values = [], []
     for lineno, row in rows:
         if len(row) != len(header):
@@ -208,9 +212,15 @@ def read_dyad_matrix(path, name, actors, transform="none") -> DyadCovariate:
             values.append([float(cell) for cell in row[1:]])
         except (KeyError, ValueError) as exc:
             raise _row_error(path, lineno, row, exc) from None
+    for where, present, at in (("column", cols, f":{lineno_header}"),
+                               ("row", labels, "")):
+        missing = sorted(set(range(actors.n)) - set(present))
+        if missing:
+            raise FileFormatError(
+                f"{path}{at}: no {where} for "
+                + ", ".join(actors.ids[k] for k in missing))
     mat = np.zeros((actors.n, actors.n))
-    if labels:
-        mat[np.ix_(labels, cols)] = values
+    mat[np.ix_(labels, cols)] = values
     return DyadCovariate.from_raw(name, mat, transform=transform)
 
 

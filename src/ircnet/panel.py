@@ -254,7 +254,7 @@ class CovariateSet:
     actor: dict = field(default_factory=dict)
     dyad: dict = field(default_factory=dict)
     # beta-free matrices derived from the covariates, memoized per
-    # (effect, period) by effects.contribution
+    # effect by effects.contribution
     derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add(self, cov):

@@ -8,158 +8,329 @@ rule the chosen toggle is imposed on both endpoints; under the
 pairwise-conjunctive rule tie creation additionally requires the partner
 to agree (logistic in the partner's own objective change), dissolution is
 unilateral.
+
+A simulated period is an independent `Task`: a start state, a model, a
+period and a random stream. Tasks run as lanes of a lockstep kernel: one
+`ministep` call advances every unfinished lane by one ministep with one
+numpy call per operation. Each lane reads its own stream in blocks of
+uniforms, DRAWS per ministep whatever happens in it, so a task's result
+does not depend on which tasks share its batch or on LANE_CAP.
+
+A batch run with `scores` also accumulates, per lane, the score of its
+path with respect to beta (the choice's change statistics minus their
+expectation under the choice probabilities, plus the partner's term under
+the pairwise-conjunctive rule) and the sum of the per-step conditional
+covariances of that score, for the phase-1 derivative.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .effects import (STRUCTURAL_KINDS, ModelSpec, NetState, change_row,
-                      contribution, effect_totals)
+from .effects import (STRUCTURAL_KINDS, TOGGLE_SIGN, ModelSpec, NetState,
+                      contribution, effect_totals, layer)
 from .panel import BinaryNetwork, CovariateSet
 
 MAX_MINISTEPS = 10_000_000
+LANE_CAP = 128       # tasks advanced together; a batch runs in chunks of this
+BLOCK = 128         # ministeps of uniforms a lane draws from its stream at once
+DRAWS = 4           # uniforms per ministep: holding time, actor, choice, partner
 
 
 class SimulationError(RuntimeError):
     pass
 
 
-class SimState(NetState):
-    """One period's simulation: the network with the values kept up to date
-    per toggle, the clock and the random stream.
+@dataclass(frozen=True, eq=False)
+class Task:
+    """One period to simulate.
 
-    Beyond NetState's values it keeps `fixed`, the part of the objective
-    change that does not depend on the network's structure: for each dyad,
-    its toggle sign times (the density parameter plus the beta-weighted
-    covariate contributions). A toggle flips two of its entries.
+    start: a one-lane `NetState`, shared by every task that starts there.
+    stream: a `SeedSequence`, seed or `Generator` (anything
+    `np.random.default_rng` takes). Tasks built from one SeedSequence read
+    the same numbers. keep_end: return the end network.
     """
 
-    def __init__(self, start: BinaryNetwork, model: ModelSpec,
-                 covs: CovariateSet = None, period: int = 0, rng=None):
-        super().__init__(start.x)
-        n = self.x.shape[0]
-        rate = float(model.rates[period])
-        if rate <= 0:
+    start: NetState
+    model: ModelSpec
+    period: int
+    stream: object
+    keep_end: bool = False
+
+
+def start_states(panel) -> list:
+    """The start state of every period of `panel`: its observed waves but
+    the last, each counted once."""
+    return [NetState(panel.wave(m).x) for m in range(panel.n_waves - 1)]
+
+
+def period_streams(rng, n_periods: int) -> list:
+    """One `SeedSequence` child per period of one replicate, spawned from
+    one draw of `rng`."""
+    return np.random.SeedSequence(int(rng.integers(2**63))).spawn(n_periods)
+
+
+class Lanes(NetState):
+    """Tasks advancing in lockstep: their networks as lanes of a `NetState`,
+    plus each lane's clock, stream and parameters. `live` holds the lanes
+    whose period has not ended; `steps` counts the lockstep steps in which
+    at least one lane made a ministep. With `scores`, `score` (lanes,
+    effects) and `info` (lanes, effects, effects) accumulate each lane's
+    beta-score and its per-step conditional covariances; else both are None.
+    """
+
+    def __init__(self, tasks, covs: CovariateSet = None, scores: bool = False):
+        model = tasks[0].model
+        if any(t.model.effects != model.effects
+               or t.model.model_type != model.model_type for t in tasks):
+            raise SimulationError("the tasks of a batch must share effects and rule")
+        starts = [t.start for t in tasks]
+        shared = any(eff.kind == "gwesp" for eff in model.effects)
+        super().__init__(np.concatenate([s.x for s in starts]),
+                         np.concatenate([s.deg for s in starts]),
+                         np.concatenate([s.esp for s in starts]) if shared else None)
+        n = self.x.shape[-1]
+        period = np.array([t.period for t in tasks])
+        rate = np.array([t.model.rates[t.period] for t in tasks], dtype=float)
+        if np.any(rate <= 0):
             raise SimulationError("rate must be positive")
-        self.model = model
-        self.rng = rng
-        self.t = 0.0
-        self.steps = 0
-        self.holding_scale = 1.0 / (n * rate)
+        self.effects = model.effects
         self.conjunctive = model.model_type == "pairwise-conjunctive"
+        self.beta = np.array([t.model.beta for t in tasks], dtype=float)
         covs = covs or CovariateSet()
-        beta = model.beta
-        combined = np.zeros((n, n))
-        density = 0.0
-        self.terms = []        # (beta_k, effect): structural rows per ministep
-        for k, eff in enumerate(model.effects):
-            if eff.kind == "density":
-                density += beta[k]
-            elif eff.kind in STRUCTURAL_KINDS:
-                if beta[k] != 0.0:
-                    self.terms.append((beta[k], eff))
-            else:
-                combined += beta[k] * contribution(eff, covs, period)[0]
-        self.fixed = (combined + density) * self.sign
+        self.contrib = {}   # effect index -> (its stack, each lane's layer)
+        for k, eff in enumerate(self.effects):
+            if eff.kind not in STRUCTURAL_KINDS:
+                stack, _ = contribution(eff, covs)
+                self.contrib[k] = (stack, layer(stack, period))
+        self.streams = [np.random.default_rng(t.stream) for t in tasks]
+        self.draws = 0      # ministeps of uniforms each live lane has read
+        self.live = np.arange(len(tasks))
+        self.scale = 1.0 / (n * rate)       # each live lane's holding-time scale
+        # per live lane: its block of uniforms and, per ministep of the
+        # block, its clock after the holding time and the actor drawn
+        self.block = self.actors = None
+        self.times = np.zeros((len(tasks), 1))
+        self.steps = 0
+        q = len(self.effects)
+        self.score = np.zeros((len(tasks), q)) if scores else None
+        self.info = np.zeros((len(tasks), q, q)) if scores else None
 
-    def toggle(self, i: int, j: int):
-        super().toggle(i, j)
-        fixed = self.fixed
-        fixed[i, j] = -fixed[i, j]
-        fixed[j, i] = -fixed[j, i]
+    def refill(self):
+        """Read the next BLOCK ministeps of uniforms of every live lane, and
+        turn them into clock times and actors in one pass: a lane's clock
+        adds its holding times one by one, as a step at a time would."""
+        n = self.x.shape[-1]
+        block = np.empty((self.live.size, BLOCK, DRAWS))
+        for r, lane in enumerate(self.live):
+            self.streams[lane].random(out=block[r])
+        times = -np.log1p(-block[:, :, 0]) * self.scale[:, None]
+        times[:, 0] += self.times[:, -1]
+        np.cumsum(times, axis=1, out=times)
+        self.block, self.times = block, times
+        self.actors = np.minimum((block[:, :, 1] * n).astype(np.intp), n - 1)
 
-    def objective_delta_row(self, i: int) -> np.ndarray:
-        """Vector over j of the objective-function change for toggling (i, j)."""
-        delta = self.fixed[i].copy()
-        for b, eff in self.terms:
-            delta += b * change_row(eff, self, i)
-        return delta
+    def retire(self, going):
+        """Keep only the live lanes where `going` holds."""
+        self.live, self.scale, self.block, self.times, self.actors = (
+            self.live[going], self.scale[going], self.block[going],
+            self.times[going], self.actors[going])
 
-    def partner_delta(self, j: int, i: int) -> float:
-        """Entry i of `objective_delta_row(j)`, computed alone."""
-        delta = self.fixed[j, i]
-        for b, eff in self.terms:
-            delta += b * self.change_entry(eff, j, i)
-        return delta
+    def objective(self, lanes, i, cols=None, units=None) -> np.ndarray:
+        """Objective change of actor i[r] in lane lanes[r] for toggling each
+        tie (i[r], j), or, given `cols`, tie (i[r], cols[r]) alone: the
+        beta-weighted sum of the effects' `change_rows`, with the common
+        sign taken out of the sum (exact, as negation does not round).
+        A list passed as `units` receives each effect's unsigned rows."""
+        x_i, at = self.ties(lanes, i, cols)
+        beta = self.beta[lanes] if cols is not None else self.beta[lanes, :, None]
+        total = np.zeros(at.shape)
+        for k, eff in enumerate(self.effects):
+            contrib = None
+            if k in self.contrib:
+                stack, lay = self.contrib[k]
+                lay = lay[lanes]
+                contrib = stack[lay, i] if cols is None else stack[lay, i, cols]
+            unsigned = self.unsigned_rows(eff, lanes, i, x_i, at, contrib, cols)
+            total += beta[:, k] * unsigned
+            if units is not None:
+                units.append(unsigned)
+        total *= TOGGLE_SIGN[at]
+        return total
+
+    def add_scores(self, lanes, rows, probs, chosen):
+        """Add one choice to the scores of `lanes`: rows (r, effects, k) are
+        the change statistics of k options, probs (r, k) their
+        probabilities and chosen (r,) the option taken."""
+        weighted = rows * probs[:, None, :]
+        mean = weighted.sum(axis=2)
+        self.score[lanes] += rows[np.arange(len(lanes)), :, chosen] - mean
+        self.info[lanes] += (weighted @ rows.transpose(0, 2, 1)
+                             - mean[:, :, None] * mean[:, None, :])
 
 
-def ministep(state: SimState) -> SimState:
-    """Advance one actor opportunity; mutates and returns `state`.
+def _stacked(units, shape) -> np.ndarray:
+    """The effects' rows from `objective(..., units=...)` as one (r,
+    effects, ...) float array (density's scalar broadcast)."""
+    rows = np.empty((shape[0], len(units)) + shape[1:])
+    for k, unsigned in enumerate(units):
+        rows[:, k] = unsigned
+    return rows
 
-    Time is advanced by an exponential holding time with total rate
-    n * lambda; the tie change (if any) is applied afterwards. If the
-    holding time overshoots t = 1 the period is over and no change is made.
+
+def ministep(state: Lanes) -> Lanes:
+    """Advance every live lane by one actor opportunity; mutates and returns
+    `state`.
+
+    A lane's clock moves by an exponential holding time with total rate
+    n * lambda; the tie change (if any) is applied afterwards. A lane whose
+    holding time overshoots t = 1 has ended its period, makes no change and
+    leaves `live`.
     """
-    rng = state.rng
-    state.t += rng.exponential(state.holding_scale)
-    if state.t >= 1.0:
-        return state
+    row = state.draws % BLOCK
+    if row == 0:
+        state.refill()
+    state.draws += 1
+    going = state.times[:, row] < 1.0
+    if np.count_nonzero(going) < going.size:    # as going.all(), but quicker
+        state.retire(going)
+        if state.live.size == 0:
+            return state
+    live = state.live
     state.steps += 1
     if state.steps > MAX_MINISTEPS:
         raise SimulationError("ministep budget exceeded; rates are diverging")
 
-    n = state.x.shape[0]
-    i = int(rng.integers(n))
-    delta = state.objective_delta_row(i)
-    delta[i] = 0.0  # slot i doubles as the keep-the-network option
+    n = state.x.shape[-1]
+    rows = np.arange(live.size)
+    i = state.actors[:, row]
+    u = state.block[:, row]
+    units = None if state.score is None else []
+    delta = state.objective(live, i, units=units)
+    delta[rows, i] = 0.0  # slot i doubles as the keep-the-network option
     if not np.isfinite(delta).all():
+        lane = live[~np.isfinite(delta).all(axis=1)][0]
         raise SimulationError(
-            f"non-finite objective change for actor {i} (beta={state.model.beta})")
-    delta -= delta.max()  # logits, then probabilities, in delta's buffer
-    probs = np.exp(delta, out=delta)
-    probs /= probs.sum()
-    j = min(int(probs.cumsum().searchsorted(rng.random(), side="right")), n - 1)
-    if j == i:
-        return state
-
-    if state.conjunctive and state.sign[i, j] > 0:
-        if rng.random() >= 1.0 / (1.0 + np.exp(-state.partner_delta(j, i))):
+            f"non-finite objective change for actor {i[live == lane][0]} "
+            f"(beta={state.beta[lane]})")
+    delta -= delta.max(axis=1, keepdims=True)  # logits, then weights, then
+    np.exp(delta, out=delta)                   # their running sums, in place
+    if units is not None:
+        probs = delta / delta.sum(axis=1, keepdims=True)
+    np.cumsum(delta, axis=1, out=delta)
+    j = np.minimum((delta <= u[:, 2:3] * delta[:, -1:]).sum(axis=1), n - 1)
+    if units is not None:
+        changes = _stacked(units, delta.shape)
+        changes *= TOGGLE_SIGN[state.x[live, i]][:, None, :]
+        changes[rows, :, i] = 0.0   # keeping the network changes nothing
+        state.add_scores(live, changes, probs, j)
+    lanes = live
+    move = j != i
+    moving = np.count_nonzero(move)
+    if moving < move.size:
+        if not moving:
             return state
-    state.toggle(i, j)
+        lanes, i, j, u = live[move], i[move], j[move], u[move]
+
+    if state.conjunctive:
+        adding = (state.x[lanes, i, j] == 0).nonzero()[0]
+        if adding.size:
+            units = None if state.score is None else []
+            partner = state.objective(lanes[adding], j[adding], cols=i[adding],
+                                      units=units)   # the partner's rows
+            agree = 1.0 / (1.0 + np.exp(-partner))
+            refused = u[adding, 3] >= agree
+            if units is not None:
+                # the partner's two options: refuse (no change) or agree
+                changes = np.zeros((adding.size, len(units), 2))
+                changes[:, :, 1] = _stacked(units, (adding.size,))
+                state.add_scores(lanes[adding], changes,
+                                 np.column_stack((1.0 - agree, agree)),
+                                 (~refused).astype(np.intp))
+            keep = np.ones(lanes.size, dtype=bool)
+            keep[adding[refused]] = False
+            lanes, i, j = lanes[keep], i[keep], j[keep]
+    if lanes.size:
+        state.toggle(lanes, i, j)
     return state
 
 
-def simulate_period(start: BinaryNetwork, model: ModelSpec,
-                    covs: CovariateSet = None, period: int = 0,
-                    rng=None, seed=None):
-    """Run ministeps over one unit period.
+def _run(tasks, covs, scores=False):
+    """Every task of a batch, LANE_CAP lanes at a time; see `simulate_period`."""
+    totals, changed, ends, score, info = [], [], [], [], []
+    for first in range(0, len(tasks), LANE_CAP):
+        chunk = tasks[first:first + LANE_CAP]
+        state = Lanes(chunk, covs, scores)
+        while state.live.size:
+            ministep(state)
+        if scores:
+            score.append(state.score)
+            info.append(state.info)
+        for lane, task in enumerate(chunk):
+            end = state.x[lane]
+            totals.append(effect_totals(state.effects, state, covs,
+                                        task.period, lane))
+            changed.append(np.count_nonzero(end != task.start.x[0]) // 2)
+            ends.append(end.copy() if task.keep_end else None)
+    if scores:
+        return (np.array(totals), np.array(changed), ends,
+                np.concatenate(score), np.concatenate(info))
+    return np.array(totals), np.array(changed), ends
 
-    Returns (end_network, totals, n_changed_dyads) where the totals are
-    `effect_totals` of the end network, read by the same formula as the
-    observed targets, and n_changed_dyads is the Hamming distance from the
-    start wave.
+
+def simulate_period(start, model: ModelSpec = None, covs: CovariateSet = None,
+                    period: int = 0, rng=None, seed=None, scores=False):
+    """Run ministeps over one unit period from the network `start`; or, when
+    `start` is a list of `Task`s, over each task's period.
+
+    For one network, returns (end_network, totals, n_changed_dyads) where
+    the totals are `effect_totals` of the end network, read by the same
+    formula as the observed targets, and n_changed_dyads is the Hamming
+    distance from the start wave. The period reads its uniforms from `rng`
+    (or a generator seeded with `seed`).
+
+    For a batch of tasks (which share effects, rule and `covs`), returns
+    (totals, changed, ends): a (tasks, effects) array, a (tasks,) array and
+    a list holding each task's end adjacency if it asked to keep it, else
+    None. With `scores`, two more: each task's beta-score (tasks, effects)
+    and the sum of its per-step score covariances (tasks, effects,
+    effects), whose expectation is the score's covariance.
     """
+    if not isinstance(start, BinaryNetwork):
+        return _run(start, covs, scores)
     if rng is None:
         rng = np.random.default_rng(seed)
-    state = SimState(start, model, covs, period, rng)
-    while state.t < 1.0:
-        ministep(state)
-    xi = state.x.astype(np.int8)
-    end = BinaryNetwork(start.actors, start.year, xi)
-    totals = effect_totals(model.effects, state, covs, period)
-    changed = int(np.count_nonzero(xi != start.x)) // 2
-    return end, totals, changed
+    task = Task(NetState(start.x), model, period, rng, keep_end=True)
+    totals, changed, ends = _run([task], covs)
+    return (BinaryNetwork(start.actors, start.year, ends[0]), totals[0],
+            int(changed[0]))
+
+
+def panel_stats(changed, totals) -> np.ndarray:
+    """The statistic vector of one panel simulation from its periods'
+    results: [changed dyads per period, per-effect totals summed over
+    periods]."""
+    return np.concatenate([changed, totals.sum(axis=0)])
 
 
 def simulate_panel(panel, model: ModelSpec, covs: CovariateSet = None, rng=None,
-                   seed=None):
-    """Simulate every period from its observed start wave.
+                   seed=None, starts=None):
+    """Simulate every period from its observed start wave, as one batch.
 
-    Returns (stats, end_networks): stats is the concatenated statistic
-    vector [changed dyads per period, per-effect totals summed over
-    periods]; end_networks holds each period's simulated end state.
+    Period m reads the m-th of `period_streams(rng, periods)`. `starts`, if
+    given, are `start_states(panel)`, built once by the caller. Returns
+    (stats, end_networks): stats is `panel_stats` of the periods;
+    end_networks holds each period's simulated end state.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
     n_periods = panel.n_waves - 1
-    changes = np.zeros(n_periods)
-    totals = np.zeros(model.n_effects)
-    ends = []
-    for m in range(n_periods):
-        end, per_effect, changed = simulate_period(panel.wave(m), model, covs,
-                                                   period=m, rng=rng)
-        changes[m] = changed
-        totals += per_effect
-        ends.append(end)
-    return np.concatenate([changes, totals]), ends
+    starts = starts or start_states(panel)
+    tasks = [Task(starts[m], model, m, stream, keep_end=True)
+             for m, stream in enumerate(period_streams(rng, n_periods))]
+    totals, changed, ends = simulate_period(tasks, covs=covs)
+    return panel_stats(changed, totals), [
+        BinaryNetwork(panel.actors, panel.wave(m).year, ends[m])
+        for m in range(n_periods)]

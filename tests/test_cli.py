@@ -339,6 +339,10 @@ MALFORMED = [
                  id="edge-year"),
     pytest.param("weighted", "# seed=7\nyear,iso3_a,iso3_b,weight\n"
                  "2000,CHN,DEU,z\n", 3, id="edge-weight"),
+    pytest.param("weighted", "year,iso3_a,iso3_b,weight\n2000,CHN,CHN,3\n", 2,
+                 id="edge-self-loop"),
+    pytest.param("weighted", "year,iso3_a,iso3_b,weight\n2000,CHN,DEU,1\n"
+                 "2000,CHN,DEU,-3\n", 3, id="edge-negative-weight"),
     pytest.param("dyad", "", 1, id="dyad-empty"),
     pytest.param("dyad", _dyad_text(3, "DEU,abc,0,1,1,1,1"), 3, id="dyad-cell"),
     pytest.param("dyad", _dyad_text(4, "FRA,1,1,0,1,1"), 4, id="dyad-row-short"),
@@ -439,6 +443,28 @@ class TestExitCodes:
         assert main(["estimate", cfg]) == 1
         err = capsys.readouterr().err
         assert f"{dist}:{bad_line}" in err and "'ZZZ'" in err
+
+    @pytest.mark.parametrize("drop", ["row", "column", "both"])
+    def test_dyad_matrix_missing_actors(self, tmp_path, capsys, drop):
+        # an actor without a row or column would read as distance 0
+        root = str(tmp_path)
+        write_fixtures(root, random_records(16))
+        lines = _dyad_lines()
+        cut = [ACTORS.index("FRA") + 1] if drop != "column" else []
+        if drop != "row":
+            lines = [",".join(f for k, f in enumerate(line.split(","))
+                              if k != ACTORS.index("FRA") + 1)
+                     for line in lines]
+        lines = [line for k, line in enumerate(lines) if k not in cut]
+        dist = tmp_path / "dist.csv"
+        dist.write_text("\n".join(lines) + "\n")
+        cfg = write_config(root, extra=f"effects = density, dyadX:dist\n"
+                                       f"dyad_covariates = dist:{dist}\n")
+        assert main(["ingest", cfg]) == 0
+        assert main(["backbone", cfg]) == 0
+        assert main(["estimate", cfg]) == 1
+        err = capsys.readouterr().err
+        assert str(dist) in err and "FRA" in err
 
     @pytest.mark.parametrize("kind,text,line", MALFORMED)
     def test_malformed_delimited_input(self, tmp_path, capsys, kind, text, line):

@@ -1,3 +1,6 @@
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,10 @@ from ircnet.estimate import (EstimationError, EstimationOptions,
                              stars)
 from ircnet.panel import (ActorCovariate, BinaryNetwork, BinaryNetSeries,
                           CovariateSet, empty_network)
-from ircnet.simulate import simulate_period
+from ircnet.simulate import simulate_panel, simulate_period
+
+# the module itself: `ircnet.estimate` as an attribute is the function
+estimate_module = importlib.import_module("ircnet.estimate")
 
 
 def make_panel(rng, n, waves, model=None, covs=None, start_p=0.1, seed=0):
@@ -94,6 +100,73 @@ class TestPhase1:
         assert fast[0, 0] >= 0.0
         for k in (1, 2):
             assert fast[k, k] == pytest.approx(slow[k, k], rel=0.25)
+
+    @pytest.mark.parametrize("rule", ["forcing", "pairwise-conjunctive"])
+    def test_score_columns_match_central_differences(self, rng, rule,
+                                                     monkeypatch):
+        # the effects' score-function columns against central finite
+        # differences (step 0.05) of the same expectations
+        effects = (EffectSpec("density"), EffectSpec("gwesp"),
+                   EffectSpec("egoPlusAltX", "ac"))
+        model = ModelSpec(effects, rates=np.full(2, 2.5),
+                          beta=np.array([-1.2, 0.4, 0.5]), model_type=rule)
+        covs = CovariateSet().add(ActorCovariate("ac", rng.random((12, 2))))
+        panel = make_panel(rng, 12, 3, model, covs, start_p=0.2, seed=3)
+        theta = np.array([2.5, 2.5, -1.2, 0.4, 0.5])
+        score = phase1_derivative(theta, panel, model, covs,
+                                  EstimationOptions(n1=1000, seed=1))
+        monkeypatch.setattr(estimate_module, "SCORE_REPLICATES", 10**6)
+        central = sum(phase1_derivative(theta, panel, model, covs,
+                                        EstimationOptions(n1=1000, seed=2,
+                                                          derivative_step=step),
+                                        check=False)
+                      for step in (0.05, -0.05)) / 2
+        block = np.s_[2:, 2:]
+        scale = np.abs(central[block]).max()
+        assert np.abs(score[block] - central[block]).max() < 0.15 * scale
+
+
+class TestRateColumns:
+    """Rate m moves period m alone, so its column re-simulates period m."""
+
+    def long_panel(self, rng, rule):
+        effects = (EffectSpec("density"), EffectSpec("gwesp"),
+                   EffectSpec("egoPlusAltX", "ac"))
+        model = ModelSpec(effects, rates=np.full(4, 2.0),
+                          beta=np.array([-1.2, 0.4, 0.5]), model_type=rule)
+        covs = CovariateSet().add(ActorCovariate("ac", rng.random((14, 4))))
+        return make_panel(rng, 14, 5, model, covs, start_p=0.15, seed=3), \
+            model, covs
+
+    @pytest.mark.parametrize("rule", ["forcing", "pairwise-conjunctive"])
+    def test_cross_period_entries_are_zero(self, rng, rule):
+        panel, model, covs = self.long_panel(rng, rule)
+        theta = np.array([2.0, 1.5, 2.5, 1.0, -1.2, 0.4, 0.5])
+        d = phase1_derivative(theta, panel, model, covs,
+                              EstimationOptions(n1=6, seed=4), check=False)
+        rates = d[:4, :4]
+        assert np.all(rates[~np.eye(4, dtype=bool)] == 0.0)
+        assert np.any(np.diag(rates) != 0.0)   # the columns do move
+
+    @pytest.mark.parametrize("rule", ["forcing", "pairwise-conjunctive"])
+    def test_rate_column_equals_panel_resimulation(self, rng, rule):
+        # one replicate: each column is (S(theta + h e_k) - S(theta)) / h
+        # with S the full panel simulated from the replicate's streams
+        panel, model, covs = self.long_panel(rng, rule)
+        theta = np.array([2.0, 1.5, 2.5, 1.0, -1.2, 0.4, 0.5])
+        opts = EstimationOptions(n1=1, seed=5, derivative_step=0.3)
+        d = phase1_derivative(theta, panel, model, covs, opts,
+                              np.random.default_rng(9), check=False)
+
+        def stats(th):
+            m = replace(model, rates=th[:4], beta=th[4:])
+            return simulate_panel(panel, m, covs, rng=np.random.default_rng(9))[0]
+
+        base = stats(theta)
+        for k in range(len(theta)):
+            pert = theta.copy()
+            pert[k] += 0.3
+            assert d[:, k].tobytes() == ((stats(pert) - base) / 0.3).tobytes()
 
 
 class TestPhase2And3:

@@ -2,14 +2,23 @@ import numpy as np
 import pytest
 
 from conftest import actor_set, random_graph
+import ircnet.simulate as simulate
 from ircnet.effects import (ALL_KINDS, STRUCTURAL_KINDS, EffectSpec,
-                            ModelSpec, change_row, contribution, statistic)
+                            ModelSpec, NetState, contribution, statistic)
 from ircnet.panel import (ActorCovariate, ActorSet, BinaryNetwork,
                           CovariateSet, DyadCovariate, empty_network)
-from ircnet.simulate import (SimState, SimulationError, ministep,
+from ircnet.simulate import (Lanes, SimulationError, Task, ministep,
                              simulate_period)
 
 ACTORS3 = ActorSet(("A", "B", "C"))
+
+
+LANE0 = np.zeros(1, dtype=np.intp)
+
+
+def one_lane(start, model, covs=None, period=0, stream=None):
+    """The lockstep state of one task from the network `start`."""
+    return Lanes([Task(NetState(start.x), model, period, stream)], covs)
 
 
 def density_model(beta, rate):
@@ -96,9 +105,9 @@ class TestMinistep:
             for k, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
                 if (s >> k) & 1:
                     x[i, j] = x[j, i] = 1
-            state = SimState(BinaryNetwork(ACTORS3, 0, x.astype(np.int8)), model)
+            state = one_lane(BinaryNetwork(ACTORS3, 0, x.astype(np.int8)), model)
             for i in range(3):
-                deltas = state.objective_delta_row(i)
+                deltas = state.objective(LANE0, np.array([i]))[0]
                 deltas[i] = 0.0
                 w = np.exp(deltas - deltas.max())
                 got = w / w.sum()
@@ -110,8 +119,8 @@ class TestMinistep:
         # option has mass: the max and the cumulative sum stay finite
         for beta in (np.inf, -np.inf):
             model = density_model(beta, 1.0)
-            state = SimState(empty_network(ACTORS3), model,
-                             rng=np.random.default_rng(0))
+            state = one_lane(empty_network(ACTORS3), model,
+                             stream=np.random.default_rng(0))
             with pytest.raises(SimulationError):
                 for _ in range(50):
                     ministep(state)
@@ -157,8 +166,8 @@ class TestSimulatePeriod:
         total = 0
         runs = 10000
         for _ in range(runs):
-            state = SimState(start, model, rng=rng)
-            while state.t < 1.0:
+            state = one_lane(start, model, stream=rng)
+            while state.live.size:
                 ministep(state)
             total += state.steps
         assert total / runs == pytest.approx(n * lam, rel=0.05)
@@ -209,35 +218,92 @@ def effect_of(kind):
 FULL_MODEL_EFFECTS = tuple(effect_of(k) for k in ALL_KINDS)
 
 
+def kernel_tasks(rng, n, rule, covs, count, effects=FULL_MODEL_EFFECTS):
+    """`count` tasks on n actors that differ in start, period, beta and rate."""
+    starts = [NetState(random_graph(rng, n, p).x) for p in (0.05, 0.3, 0.7)]
+    tasks = []
+    for k in range(count):
+        beta = rng.normal(0.0, 0.5, len(effects))
+        beta[0] = rng.uniform(-1.5, 0.0)
+        model = ModelSpec(effects, beta=beta, rates=rng.uniform(1.0, 6.0, 2),
+                          model_type=rule)
+        tasks.append(Task(starts[k % 3], model, k % 2,
+                          np.random.SeedSequence([n, k]), keep_end=k % 2 == 0))
+    return tasks
+
+
 class TestKernel:
-    """The values SimState maintains per toggle against a rebuild from x."""
+    """The values the lanes maintain per toggle against a rebuild from x,
+    and results that do not depend on the lanes a task shares."""
+
+    @staticmethod
+    def check_rebuild(rng, rule, keep):
+        """Lanes on the effects FULL_MODEL_EFFECTS[keep], one per start
+        density; x, deg and (with gwesp) esp of every lane checked against a
+        rebuild from x after every step."""
+        beta = np.array([-1.0, 0.6, -0.05, 0.4, -0.3, 0.8, 0.5])
+        assert len(beta) == len(FULL_MODEL_EFFECTS)
+        effects = tuple(FULL_MODEL_EFFECTS[k] for k in keep)
+        gwesp = any(eff.kind == "gwesp" for eff in effects)
+        for n in (4, 11, 30):
+            covs = kernel_covs(rng, n)
+            model = ModelSpec(effects, beta=beta[keep],
+                              rates=np.array([6.0]), model_type=rule)
+            tasks = [Task(NetState(random_graph(rng, n, p).x), model, 0,
+                          np.random.SeedSequence([n, k]))
+                     for k, p in enumerate((0.05, 0.3, 0.7))]
+            state = Lanes(tasks, covs)
+            assert (state.esp is None) != gwesp
+            toggles = np.zeros(len(tasks), dtype=int)
+            while state.live.size:
+                before = state.deg.sum(axis=1)
+                ministep(state)
+                toggles += state.deg.sum(axis=1) != before
+                fresh = NetState(state.x)
+                assert np.array_equal(state.x, state.x.transpose(0, 2, 1))
+                assert np.array_equal(state.deg, fresh.deg)
+                if gwesp:
+                    assert np.array_equal(state.esp, fresh.esp)
+            assert np.all(toggles > 0)
 
     @pytest.mark.parametrize("rule", ["forcing", "pairwise-conjunctive"])
     def test_maintained_state_matches_rebuild(self, rng, rule):
-        beta = np.array([-1.0, 0.6, -0.05, 0.4, -0.3, 0.8, 0.5])
-        assert len(beta) == len(FULL_MODEL_EFFECTS)
-        for n in (4, 11, 30):
-            covs = kernel_covs(rng, n)
-            for p in (0.05, 0.3, 0.7):
-                model = ModelSpec(FULL_MODEL_EFFECTS, beta=beta,
-                                  rates=np.array([6.0]), model_type=rule)
-                state = SimState(random_graph(rng, n, p), model, covs, 0,
-                                 np.random.default_rng(n))
-                toggles = 0
-                while state.t < 1.0:
-                    before = state.deg.sum()
-                    ministep(state)
-                    toggles += state.deg.sum() != before
-                    x = state.x
-                    off = ~np.eye(n, dtype=bool)
-                    assert np.array_equal(state.esp[off], (x @ x)[off])
-                    fresh = SimState(BinaryNetwork(actor_set(n), 0,
-                                                   x.astype(np.int8)),
-                                     model, covs, 0)
-                    assert np.array_equal(state.deg, fresh.deg)
-                    assert np.array_equal(state.sign, fresh.sign)
-                    assert np.array_equal(state.fixed, fresh.fixed)
-                assert toggles > 0
+        self.check_rebuild(rng, rule, list(range(len(FULL_MODEL_EFFECTS))))
+
+    @pytest.mark.parametrize("rule", ["forcing", "pairwise-conjunctive"])
+    def test_lanes_keep_no_esp_without_gwesp(self, rng, rule):
+        self.check_rebuild(rng, rule, [k for k, eff in enumerate(FULL_MODEL_EFFECTS)
+                                       if eff.kind != "gwesp"])
+
+    @pytest.mark.parametrize("rule", ["forcing", "pairwise-conjunctive"])
+    def test_results_do_not_depend_on_lane_cap_or_batch(self, rng, rule,
+                                                         monkeypatch):
+        n = 13
+        covs = kernel_covs(rng, n)
+        tasks = kernel_tasks(rng, n, rule, covs, 12)
+        reference = simulate_period(tasks, covs=covs)
+        runs = []
+        for cap in (1, 3):
+            monkeypatch.setattr(simulate, "LANE_CAP", cap)
+            runs.append((list(range(12)), simulate_period(tasks, covs=covs)))
+        monkeypatch.undo()
+        # other mixes: reversed, and every third task alone with a stranger
+        order = list(range(11, -1, -1))
+        runs.append((order, simulate_period([tasks[k] for k in order], covs=covs)))
+        stranger = kernel_tasks(rng, n, rule, covs, 1)[0]
+        for k in range(0, 12, 3):
+            runs.append(([k], simulate_period([stranger, tasks[k]],
+                                              covs=covs)))
+        for order, (totals, changed, ends) in runs:
+            skip = len(totals) - len(order)     # the stranger comes first
+            for pos, k in enumerate(order):
+                assert totals[skip + pos].tobytes() == reference[0][k].tobytes()
+                assert changed[skip + pos] == reference[1][k]
+                if tasks[k].keep_end:
+                    assert np.array_equal(ends[skip + pos], reference[2][k])
+                else:
+                    assert ends[skip + pos] is None
+        assert len(set(reference[1].tolist())) > 3   # the tasks differ
 
     @pytest.mark.parametrize("rule", ["forcing", "pairwise-conjunctive"])
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -261,6 +327,7 @@ class TestKernel:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_partner_entry_matches_full_row(self, rng, kind):
+        # the partner check reads one entry of the row formula, bit for bit
         eff = effect_of(kind)
         effects = (EffectSpec("density"),) + ((eff,) if kind != "density" else ())
         beta = np.array([-0.7, 0.9][:len(effects)])
@@ -269,16 +336,58 @@ class TestKernel:
             for p in (0.1, 0.4, 0.8):
                 model = ModelSpec(effects, beta=beta, rates=np.array([1.0]),
                                   model_type="pairwise-conjunctive")
-                state = SimState(random_graph(rng, n, p), model, covs, 0)
-                contrib = (None if kind in STRUCTURAL_KINDS
-                           else contribution(eff, covs, 0)[0])
+                state = one_lane(random_graph(rng, n, p), model, covs)
+                stack = (None if kind in STRUCTURAL_KINDS
+                         else contribution(eff, covs)[0][0])
                 for j in range(n):
-                    row = state.objective_delta_row(j)
-                    eff_row = change_row(eff, state, j, contrib)
+                    actor = np.array([j])
+                    row = state.objective(LANE0, actor)[0]
+                    eff_row = state.change_rows(
+                        eff, LANE0, actor,
+                        None if stack is None else stack[j][None])[0]
                     for i in range(n):
                         if i == j:
                             continue
-                        assert state.partner_delta(j, i) == pytest.approx(
-                            row[i], rel=1e-12, abs=1e-12)
-                        assert state.change_entry(eff, j, i, contrib) == \
-                            pytest.approx(eff_row[i], rel=1e-12, abs=1e-12)
+                        col = np.array([i])
+                        assert state.objective(LANE0, actor, col)[0] == row[i]
+                        entry = state.change_rows(
+                            eff, LANE0, actor,
+                            None if stack is None else stack[j, i][None], col)
+                        assert entry[0] == eff_row[i]
+
+
+class TestScores:
+    """The beta-score a batch accumulates with `scores`."""
+
+    @pytest.mark.parametrize("rule", ["forcing", "pairwise-conjunctive"])
+    def test_scores_leave_paths_unchanged(self, rng, rule):
+        n = 13
+        covs = kernel_covs(rng, n)
+        tasks = kernel_tasks(rng, n, rule, covs, 12)
+        plain = simulate_period(tasks, covs=covs)
+        totals, changed, ends, score, info = simulate_period(tasks, covs=covs,
+                                                             scores=True)
+        assert totals.tobytes() == plain[0].tobytes()
+        assert np.array_equal(changed, plain[1])
+        assert all(a is None and b is None or np.array_equal(a, b)
+                   for a, b in zip(ends, plain[2]))
+        q = len(FULL_MODEL_EFFECTS)
+        assert score.shape == (12, q) and info.shape == (12, q, q)
+        assert np.allclose(info, info.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("rule", ["forcing", "pairwise-conjunctive"])
+    def test_score_mean_zero_and_covariance_equals_information(self, rng, rule):
+        # E[G] = 0 and Cov(G) = E[sum of per-step conditional covariances]
+        n, runs = 8, 4000
+        covs = kernel_covs(rng, n)
+        beta = np.array([-1.0, 0.3, -0.05, 0.4, -0.3, 0.8, 0.5])
+        model = ModelSpec(FULL_MODEL_EFFECTS, beta=beta, rates=np.array([3.0]),
+                          model_type=rule)
+        start = NetState(random_graph(rng, n, 0.3).x)
+        tasks = [Task(start, model, 0, np.random.SeedSequence([7, r]))
+                 for r in range(runs)]
+        _, _, _, score, info = simulate_period(tasks, covs=covs, scores=True)
+        se = score.std(axis=0, ddof=1) / np.sqrt(runs)
+        assert np.all(np.abs(score.mean(axis=0)) < 4 * se)
+        var = score.var(axis=0, ddof=1)
+        assert np.all(np.abs(var / np.diagonal(info.mean(axis=0)) - 1) < 0.15)
