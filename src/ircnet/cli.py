@@ -159,16 +159,14 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def cmd_gof(cfg: RunConfig) -> int:
-    actors, panel, covs, model, out, slug = _load_panel_and_model(cfg)
-    stats_path = os.path.join(out, f"draws_stats_{slug}.npy")
+    actors, panel, _, out, slug = _load_panel(cfg)
     finals_path = os.path.join(out, f"draws_finals_{slug}.npy")
-    if not (os.path.exists(stats_path) and os.path.exists(finals_path)):
+    if not os.path.exists(finals_path):
         raise gof.GofError(
             "no retained draws found; rerun the estimate command (draw "
             f"retention writes {os.path.basename(finals_path)})")
     result = fileio.read_result_json(os.path.join(out, f"result_{slug}.json"))
-    result.draws_stats, result.draws_final_networks = fileio.read_draws(
-        stats_path, finals_path, actors)
+    result.draws_final_networks = fileio.read_draws(finals_path, actors)
     meta = cfg.meta()
     final_wave = panel.wave(panel.n_waves - 1)
     for kind in gof.AUX_KINDS:

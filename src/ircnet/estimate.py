@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import norm as _norm
 
 from .effects import ModelSpec, target_statistics
-from .panel import BinaryNetSeries, BinaryNetwork, CovariateSet, hamming
+from .panel import BinaryNetSeries, CovariateSet, hamming
 from .simulate import (Task, panel_stats, period_streams, simulate_panel,
                        simulate_period, start_states)
 
@@ -177,47 +177,49 @@ def phase1_derivative(theta, panel, model, covs, options: EstimationOptions,
     n_periods = panel.n_waves - 1
     starts = starts or start_states(panel)
     p = len(theta)
+    q = p - n_periods
+    n1 = options.n1
     h = options.derivative_step
-    by_score = options.n1 >= SCORE_REPLICATES * (p - n_periods + 1)
-    base_model = _with_theta(model, theta, n_periods)
-    columns = []    # (coordinate, model, periods it re-simulates)
-    for k in range(n_periods if by_score else p):
+    by_score = n1 >= SCORE_REPLICATES * (q + 1)
+
+    def perturbed(k):
         pert = np.array(theta, dtype=float)
         pert[k] += h
-        columns.append((k, _with_theta(model, pert, n_periods),
-                        [k] if k < n_periods else range(n_periods)))
+        return _with_theta(model, pert, n_periods)
+
+    # one replicate's tasks, in rows of n_periods: its base periods, each
+    # period again at its own perturbed rate and, without scores, every
+    # period once per perturbed effect
+    effect_models = [] if by_score else [perturbed(k) for k in range(n_periods, p)]
+    layout = ([(_with_theta(model, theta, n_periods), m) for m in range(n_periods)]
+              + [(perturbed(m), m) for m in range(n_periods)]
+              + [(mdl, m) for mdl in effect_models for m in range(n_periods)])
     tasks = []
-    for _ in range(options.n1):
+    for _ in range(n1):
         streams = period_streams(rng, n_periods)
-        for _, col_model, periods in [(None, base_model, range(n_periods))] + columns:
-            tasks += [Task(starts[m], col_model, m, streams[m]) for m in periods]
+        tasks += [Task(starts[m], mdl, m, streams[m]) for mdl, m in layout]
     totals, changed, _, *scores = simulate_period(tasks, covs=covs,
                                                   scores=by_score)
-    d_sum = np.zeros((p, p))
-    bases = []      # each replicate's first base task
-    at = 0
-    for _ in range(options.n1):
-        bases.append(at)
-        base_totals = totals[at:at + n_periods]
-        base_changed = changed[at:at + n_periods]
-        at += n_periods
-        base = panel_stats(base_changed, base_totals)
-        for k, _, periods in columns:
-            col_totals, col_changed = base_totals.copy(), base_changed.copy()
-            col_totals[periods] = totals[at:at + len(periods)]
-            col_changed[periods] = changed[at:at + len(periods)]
-            at += len(periods)
-            d_sum[:, k] += (panel_stats(col_changed, col_totals) - base) / h
-    d = d_sum / options.n1
+    changed = changed.reshape(n1, len(layout))
+    totals = totals.reshape(n1, len(layout), -1)
+    # each column's task per period: rate column m reads the base row with
+    # period m taken from the rates row, an effect column its own row
+    rows = np.arange(len(layout)).reshape(-1, n_periods)
+    index = np.vstack((np.where(np.eye(n_periods, dtype=bool), rows[1], rows[0]),
+                       rows[2:]))
+    base = panel_stats(changed[:, :n_periods], totals[:, :n_periods])
+    diffs = (panel_stats(changed[:, index], totals[:, index]) - base[:, None]) / h
+    d = np.zeros((p, p))
+    d[:, :diffs.shape[1]] = diffs.sum(axis=0).T / n1
     if by_score:
-        score, info = scores
+        score = scores[0].reshape(n1, len(layout), q)
+        info = scores[1].reshape(n1, len(layout), q, q)
         for m in range(n_periods):
-            runs = np.array(bases) + m
-            stats = np.column_stack((changed[runs], totals[runs]))
-            g = score[runs]
+            stats = np.column_stack((changed[:, m], totals[:, m]))
+            g = score[:, m]
             coef = np.linalg.lstsq(g - g.mean(axis=0), stats - stats.mean(axis=0),
                                    rcond=None)[0]
-            slope = coef.T @ info[runs].mean(axis=0)
+            slope = coef.T @ info[:, m].mean(axis=0)
             d[m, n_periods:] = slope[0]
             d[n_periods:, n_periods:] += slope[1:]
     if check:
@@ -259,8 +261,8 @@ def phase2_update(theta, deriv, panel, model, covs, options: EstimationOptions,
         thetas = []
         for it in range(cap):
             stats, _ = simulate_panel(panel, _with_theta(model, theta, n_periods),
-                                      covs, rng=rng, starts=starts)
-            dev = stats - s_obs
+                                      covs, rng, starts)
+            dev = stats[0] - s_obs
             theta = theta - gain * (d_inv @ dev)
             theta[:n_periods] = np.maximum(theta[:n_periods], RATE_FLOOR)
             thetas.append(theta.copy())
@@ -284,29 +286,16 @@ def phase3_finalize(theta_hat, panel, model, covs, options: EstimationOptions,
                     rng=None, iterations=0, starts=None) -> EstimationResult:
     """Simulate at the fixed estimate; derive SEs and convergence diagnostics.
 
-    The n3 draws run as one batch, and the derivative as another."""
+    The n3 draws run as one `simulate_panel` batch, and the derivative as
+    another."""
     if rng is None:
         rng = np.random.default_rng(options.seed)
     n_periods = panel.n_waves - 1
     starts = starts or start_states(panel)
     s_obs = observed_targets(panel, model, covs)
     p = len(theta_hat)
-    model_hat = _with_theta(model, theta_hat, n_periods)
-    last = n_periods - 1
-    tasks = []
-    for _ in range(options.n3):
-        streams = period_streams(rng, n_periods)
-        tasks += [Task(starts[m], model_hat, m, streams[m],
-                       keep_end=options.keep_draws and m == last)
-                  for m in range(n_periods)]
-    totals, changed, ends = simulate_period(tasks, covs=covs)
-    stats = np.empty((options.n3, p))
-    for r in range(options.n3):
-        draw = slice(r * n_periods, (r + 1) * n_periods)
-        stats[r] = panel_stats(changed[draw], totals[draw])
-    finals = [BinaryNetwork(panel.actors, panel.wave(last).year,
-                            ends[r * n_periods + last])
-              for r in range(options.n3) if options.keep_draws]
+    stats, finals = simulate_panel(panel, _with_theta(model, theta_hat, n_periods),
+                                   covs, rng, starts, options.n3)
     sigma = np.cov(stats, rowvar=False)
     sigma = np.atleast_2d(sigma)
     ridge = False
@@ -339,7 +328,7 @@ def phase3_finalize(theta_hat, panel, model, covs, options: EstimationOptions,
         seed=options.seed,
         ridge_applied=ridge,
         draws_stats=stats,
-        draws_final_networks=finals,
+        draws_final_networks=finals if options.keep_draws else [],
         targets=s_obs,
     )
 

@@ -287,7 +287,6 @@ def write_draws(result, stats_path, finals_path):
     np.save(finals_path, finals)
 
 
-def read_draws(stats_path, finals_path, actors):
-    stats = np.load(stats_path)
-    finals = [BinaryNetwork(actors, 0, x) for x in np.load(finals_path)]
-    return stats, finals
+def read_draws(finals_path, actors) -> list:
+    """The phase-3 final networks `write_draws` wrote, which `gof` tests."""
+    return [BinaryNetwork(actors, 0, x) for x in np.load(finals_path)]

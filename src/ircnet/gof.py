@@ -53,10 +53,12 @@ def triad_census_undirected(net: BinaryNetwork) -> np.ndarray:
     n = net.actors.n
     if n < 3:
         raise PanelError("triad census needs n >= 3")
-    x = net.x.astype(np.int64)
-    deg = x.sum(axis=1)
+    deg = net.x.sum(axis=1, dtype=np.int64)
     edges = int(deg.sum()) // 2
-    triangles = int(np.trace(x @ x @ x)) // 6
+    # x * (x @ x) counts each triangle once per ordered pair of its ends;
+    # every count is far below 2**53, so the float64 product is exact
+    x = net.x.astype(np.float64)
+    triangles = int((x * (x @ x)).sum()) // 6
     two_paths = int((deg * (deg - 1) // 2).sum())  # open + closed 2-paths
     n201 = two_paths - 3 * triangles
     n102 = edges * (n - 2) - 2 * n201 - 3 * triangles

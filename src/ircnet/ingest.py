@@ -10,17 +10,14 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import (ActorSet, BinaryNetwork, NetSeries, PanelError,
-                    WeightedNetwork, density, degree_sequence, edge_count,
-                    isolate_count)
+from .panel import (ActorSet, BinaryNetwork, NetSeries, WeightedNetSeries,
+                    WeightedNetwork, density, edge_count, isolate_count)
 
 OUT_OF_SET = "__OUT_OF_SET__"
-
-DOMAINS = ("S&T", "SocSci", "A&H", "unclassified")
 
 
 class IngestError(ValueError):
@@ -103,8 +100,6 @@ def expand_pairs(record: ArticleRecord, dictionary: DisambiguationDictionary,
 class AggregationReport:
     records_seen: int = 0
     records_used: int = 0
-    skipped_year: int = 0
-    skipped_domain: int = 0
 
 
 def aggregate(records, dictionary: DisambiguationDictionary, actors: ActorSet,
@@ -116,11 +111,7 @@ def aggregate(records, dictionary: DisambiguationDictionary, actors: ActorSet,
     report = report if report is not None else AggregationReport()
     for rec in records:
         report.records_seen += 1
-        if rec.year != year:
-            report.skipped_year += 1
-            continue
-        if domain is not None and domain not in rec.domains:
-            report.skipped_domain += 1
+        if rec.year != year or (domain is not None and domain not in rec.domains):
             continue
         report.records_used += 1
         for a, b in expand_pairs(rec, dictionary, actors):
@@ -133,7 +124,6 @@ def aggregate(records, dictionary: DisambiguationDictionary, actors: ActorSet,
 def aggregate_series(records, dictionary, actors, years, domain=None):
     """One WeightedNetwork per year over a fixed record list."""
     records = list(records)
-    from .panel import WeightedNetSeries
     nets = [aggregate(records, dictionary, actors, year, domain)
             for year in years]
     return WeightedNetSeries(tuple(nets))

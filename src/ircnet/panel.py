@@ -150,28 +150,20 @@ class ActorCovariate:
     """Actor-by-period attribute with missingness mask and centering metadata.
 
     Period m of the values applies to the transition between waves m and m+1;
-    a single-column covariate is treated as constant. If transform is
-    "log1p" the stored values are log(raw + 1).
+    a single-column covariate is treated as constant; NaN values are
+    missing. `from_raw` stores log(raw + 1) under the "log1p" transform.
     """
 
     name: str
     values: np.ndarray
-    missing: np.ndarray = None
-    transform: str = "none"
+    missing: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         vals = np.atleast_2d(np.asarray(self.values, dtype=float))
-        missing = self.missing
-        if missing is None:
-            missing = np.isnan(vals)
-        else:
-            missing = np.atleast_2d(np.asarray(missing, dtype=bool)) | np.isnan(vals)
-        if missing.shape != vals.shape:
-            raise PanelError(f"covariate {self.name}: mask shape mismatch")
+        missing = np.isnan(vals)
         if missing.all():
             raise PanelError(f"covariate {self.name}: no observed values")
         vals = vals.copy()
-        vals[missing] = np.nan
         vals.setflags(write=False)
         missing.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -179,7 +171,7 @@ class ActorCovariate:
 
     @classmethod
     def from_raw(cls, name, raw, transform="none"):
-        return cls(name, _transformed(name, raw, transform), transform=transform)
+        return cls(name, _transformed(name, raw, transform))
 
     @property
     def n_periods(self) -> int:
@@ -219,7 +211,6 @@ class DyadCovariate:
 
     name: str
     values: np.ndarray
-    transform: str = "none"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -233,7 +224,7 @@ class DyadCovariate:
 
     @classmethod
     def from_raw(cls, name, raw, transform="none"):
-        return cls(name, _transformed(name, raw, transform), transform)
+        return cls(name, _transformed(name, raw, transform))
 
     @property
     def centering_constant(self) -> float:

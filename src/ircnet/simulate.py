@@ -309,28 +309,33 @@ def simulate_period(start, model: ModelSpec = None, covs: CovariateSet = None,
 
 
 def panel_stats(changed, totals) -> np.ndarray:
-    """The statistic vector of one panel simulation from its periods'
+    """The statistic vectors of panel simulations from their periods'
     results: [changed dyads per period, per-effect totals summed over
-    periods]."""
-    return np.concatenate([changed, totals.sum(axis=0)])
+    periods]. `changed` is (..., periods) and `totals` (..., periods,
+    effects), one leading index per simulated panel."""
+    return np.concatenate([changed, totals.sum(axis=-2)], axis=-1)
 
 
-def simulate_panel(panel, model: ModelSpec, covs: CovariateSet = None, rng=None,
-                   seed=None, starts=None):
-    """Simulate every period from its observed start wave, as one batch.
+def simulate_panel(panel, model: ModelSpec, covs: CovariateSet, rng,
+                   starts=None, replicates=1):
+    """Simulate `replicates` independent panels, every period from its
+    observed start wave, as one batch.
 
-    Period m reads the m-th of `period_streams(rng, periods)`. `starts`, if
-    given, are `start_states(panel)`, built once by the caller. Returns
-    (stats, end_networks): stats is `panel_stats` of the periods;
-    end_networks holds each period's simulated end state.
+    Each replicate reads its own `period_streams(rng, periods)`, drawn in
+    turn. `starts`, if given, are `start_states(panel)`, built once by the
+    caller. Returns (stats, finals): stats is the (replicates, p) array of
+    `panel_stats`; finals holds each replicate's simulated last wave.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
     n_periods = panel.n_waves - 1
     starts = starts or start_states(panel)
-    tasks = [Task(starts[m], model, m, stream, keep_end=True)
-             for m, stream in enumerate(period_streams(rng, n_periods))]
+    last = n_periods - 1
+    tasks = []
+    for _ in range(replicates):
+        tasks += [Task(starts[m], model, m, stream, keep_end=m == last)
+                  for m, stream in enumerate(period_streams(rng, n_periods))]
     totals, changed, ends = simulate_period(tasks, covs=covs)
-    return panel_stats(changed, totals), [
-        BinaryNetwork(panel.actors, panel.wave(m).year, ends[m])
-        for m in range(n_periods)]
+    stats = panel_stats(changed.reshape(replicates, n_periods),
+                        totals.reshape(replicates, n_periods, -1))
+    year = panel.wave(n_periods).year
+    return stats, [BinaryNetwork(panel.actors, year, x)
+                   for x in ends[last::n_periods]]

@@ -160,7 +160,7 @@ class TestRateColumns:
 
         def stats(th):
             m = replace(model, rates=th[:4], beta=th[4:])
-            return simulate_panel(panel, m, covs, rng=np.random.default_rng(9))[0]
+            return simulate_panel(panel, m, covs, rng=np.random.default_rng(9))[0][0]
 
         base = stats(theta)
         for k in range(len(theta)):

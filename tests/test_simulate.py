@@ -5,10 +5,11 @@ from conftest import actor_set, random_graph
 import ircnet.simulate as simulate
 from ircnet.effects import (ALL_KINDS, STRUCTURAL_KINDS, EffectSpec,
                             ModelSpec, NetState, contribution, statistic)
-from ircnet.panel import (ActorCovariate, ActorSet, BinaryNetwork,
-                          CovariateSet, DyadCovariate, empty_network)
+from ircnet.panel import (ActorCovariate, ActorSet, BinaryNetSeries,
+                          BinaryNetwork, CovariateSet, DyadCovariate,
+                          empty_network)
 from ircnet.simulate import (Lanes, SimulationError, Task, ministep,
-                             simulate_period)
+                             panel_stats, simulate_panel, simulate_period)
 
 ACTORS3 = ActorSet(("A", "B", "C"))
 
@@ -354,6 +355,41 @@ class TestKernel:
                             eff, LANE0, actor,
                             None if stack is None else stack[j, i][None], col)
                         assert entry[0] == eff_row[i]
+
+
+class TestSimulatePanel:
+    """Replicates of a panel simulated as one batch."""
+
+    @pytest.mark.parametrize("rule", ["forcing", "pairwise-conjunctive"])
+    def test_replicates_equal_one_replicate_calls(self, rng, rule):
+        n, waves, replicates = 11, 4, 5
+        covs = kernel_covs(rng, n)
+        panel = BinaryNetSeries(tuple(random_graph(rng, n, 0.2, year=2000 + m)
+                                      for m in range(waves)))
+        beta = np.array([-1.0, 0.6, -0.05, 0.4, -0.3, 0.8, 0.5])
+        model = ModelSpec(FULL_MODEL_EFFECTS, beta=beta,
+                          rates=np.array([2.0, 3.5, 1.5]), model_type=rule)
+        stats, finals = simulate_panel(panel, model, covs,
+                                       np.random.default_rng(4),
+                                       replicates=replicates)
+        assert stats.shape == (replicates, waves - 1 + len(beta))
+        assert len(finals) == replicates
+        one_rng = np.random.default_rng(4)
+        for r in range(replicates):
+            one_stats, one_finals = simulate_panel(panel, model, covs, one_rng)
+            assert stats[r].tobytes() == one_stats[0].tobytes()
+            assert finals[r].x.tobytes() == one_finals[0].x.tobytes()
+            assert finals[r].year == panel.wave(waves - 1).year
+
+    @pytest.mark.parametrize("effects", [1, 4])
+    def test_stacked_panel_stats_equal_per_replicate(self, rng, effects):
+        changed = rng.integers(0, 40, (3, 2, 10))
+        totals = rng.normal(0.0, 50.0, (3, 2, 10, effects))
+        stacked = panel_stats(changed, totals)
+        assert stacked.shape == (3, 2, 10 + effects)
+        for idx in np.ndindex(3, 2):
+            one = panel_stats(changed[idx], totals[idx])
+            assert stacked[idx].tobytes() == one.tobytes()
 
 
 class TestScores:
