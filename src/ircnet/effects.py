@@ -5,7 +5,8 @@ Each effect defines a per-actor statistic s_i(x), in `_dyad_terms` alone
 change form, in `NetState.change_rows` alone (the simulator's lanes and
 `change_statistic` both read it): the difference in actor i's statistic
 when the tie (i, j) is toggled. Both read a `NetState`, which keeps the
-degrees and shared-partner counts of its networks up to date per toggle.
+degrees of its networks up to date per toggle; gwesp counts the shared
+partners it reads on the rows of x.
 Covariate effects read grand-mean-centered values; missing entries are
 imputed to the mean (contributing 0) during simulation and excluded from
 observed target sums.
@@ -210,47 +211,30 @@ TOGGLE_SIGN = np.array([1, -1], dtype=np.int8)   # 1 - 2x: +1 adds, -1 removes
 
 class NetState:
     """Undirected networks on one actor set, stacked as lanes along a leading
-    axis, plus the values change rows read, each kept up to date by `toggle`
-    in O(n) work per lane. One network is a state of one lane.
+    axis, with their degrees, both kept up to date by `toggle` in O(1) work
+    per lane. One network is a state of one lane.
 
-    x: (L, n, n) int8 adjacency. deg: (L, n) int16 degrees. esp: (L, n, n)
-    int16 shared-partner counts x @ x, or None if not kept (only gwesp
-    reads it). The arrays are taken as given where their types allow, so a
-    state of a read-only network cannot be toggled. Given `deg` (and `esp`)
-    of x, the constructor does not recount them.
+    x: (L, n, n) int8 adjacency. deg: (L, n) int16 degrees, not recounted
+    when given. Shared partners are not kept: gwesp counts them on the rows
+    of x. The arrays are taken as given where their types allow, so a state
+    of a read-only network cannot be toggled.
     """
 
-    def __init__(self, x, deg=None, esp=None):
+    def __init__(self, x, deg=None):
         x = np.asarray(x, dtype=np.int8)
         self.x = x[None] if x.ndim == 2 else x
-        if deg is None:
-            deg = self.x.sum(axis=2)
-            xf = self.x.astype(float)
-            esp = np.matmul(xf, xf)
-        self.deg = np.asarray(deg, dtype=np.int16)
-        self.esp = None if esp is None else np.asarray(esp, dtype=np.int16)
+        self.deg = np.asarray(self.x.sum(axis=2) if deg is None else deg,
+                              dtype=np.int16)
         self._gwesp = {}
 
     def toggle(self, lanes, i, j):
         """In lane lanes[r], add tie (i[r], j[r]) if absent, else remove it."""
-        x = self.x
-        d = TOGGLE_SIGN[x[lanes, i, j]]
+        d = TOGGLE_SIGN[self.x[lanes, i, j]]
         ends = np.empty((len(lanes), 2), dtype=np.intp)
         ends[:, 0], ends[:, 1] = i, j
-        other = ends[:, ::-1]
         at = lanes[:, None]
-        if self.esp is not None:
-            before = x[at, other]   # each end's row holds the other's, before
-        x[at, ends, other] = (d > 0)[:, None]
+        self.x[at, ends, ends[:, ::-1]] = (d > 0)[:, None]
         self.deg[at, ends] += d[:, None]
-        if self.esp is None:
-            return
-        # the row of each end moves by d times the other end's row before the
-        # toggle, its column by d times that row after it: every entry of
-        # x @ x once, the diagonal (the degree) included
-        d = d[:, None, None]
-        self.esp[at, ends] += d * before
-        self.esp[at, :, ends] += d * x[at, other]
 
     def gwesp_tables(self, decay: float):
         """(weight, steps) indexed by shared-partner count e = 0..n.
@@ -282,7 +266,7 @@ class NetState:
         an option).
         """
         x_i, at = self.ties(lanes, i, cols)
-        return (1 - 2 * at) * self.unsigned_rows(effect, lanes, i, x_i, at,
+        return (1 - 2 * at) * self.unsigned_rows(effect, lanes, x_i, at,
                                                  contrib, cols)
 
     def ties(self, lanes, i, cols=None):
@@ -291,8 +275,8 @@ class NetState:
         x_i = self.x[lanes, i]
         return x_i, x_i if cols is None else x_i[np.arange(len(lanes)), cols]
 
-    def unsigned_rows(self, effect: EffectSpec, lanes, i, x_i, at,
-                      contrib=None, cols=None):
+    def unsigned_rows(self, effect: EffectSpec, lanes, x_i, at, contrib=None,
+                      cols=None):
         """`change_rows` without its sign 1 - 2x: what adding an absent tie
         adds, or what removing a present one takes away. (x_i, at) are
         `ties(lanes, i, cols)`. Density gives the scalar 1."""
@@ -303,30 +287,34 @@ class NetState:
             deg = self.deg[lanes] if cols is None else self.deg[lanes, cols]
             return deg + (1 - at)
         if effect.kind == "gwesp":
-            weight, steps = self.gwesp_tables(effect.gwesp_decay)
-            esp = self.esp[lanes, i] if cols is None else self.esp[lanes, i, cols]
-            return weight[esp] + self._partner_steps(steps, lanes, i, x_i, at,
-                                                     cols)
+            return self._gwesp_rows(effect.gwesp_decay, lanes, x_i, at, cols)
         if contrib is None:
             raise EffectError(f"effect {effect.kind} needs its contribution")
         return contrib
 
-    def _partner_steps(self, steps, lanes, i, x_i, at, cols):
-        """The gwesp change of i's other edges: toggling (i, j) shifts the
-        shared partners of every edge (i, h) with h adjacent to j by one, a
-        gain steps[0, e_ih] when the tie is added, a loss steps[1, e_ih]
-        when it is removed. `bincount` adds the terms of each entry in
-        ascending h, from the lane's own values only."""
-        r, h = np.nonzero(x_i)                  # the neighbours h of i
-        e = self.esp[lanes[r], i[r], h]
-        if cols is not None:
-            w = steps[at[r], e] * self.x[lanes[r], h, cols[r]]
-            return np.bincount(r, w, minlength=len(lanes))
+    def _gwesp_rows(self, decay, lanes, x_i, at, cols):
+        """gwesp's unsigned rows. The edge (i, j) weighs weight[e_ij]; toggling
+        it shifts the shared partners of each edge (i, h) with h adjacent to
+        j by one: a gain steps[0, e_ih] if added, a loss steps[1, e_ih] if
+        removed. The ties (h, j) of i's neighbours' rows, counted per (row,
+        j) cell, give e_i.; `bincount` adds each cell's steps in ascending h."""
+        weight, steps = self.gwesp_tables(decay)
         k, n = x_i.shape
-        m, j = np.nonzero(self.x[lanes[r], h])  # the ties (h, j)
-        r = r[m]
-        w = steps[at[r, j], e[m]]
-        return np.bincount(r * n + j, w, minlength=k * n).reshape(k, n)
+        near = np.flatnonzero(x_i.view(bool))   # i's neighbours h, at r * n + h
+        r = near // n
+        rows = self.x[lanes[r], near - r * n]   # their rows: ties (h, j) at
+        hit = np.flatnonzero(rows.view(bool))   # m * n + j, for row r[m]
+        m = hit // n
+        cells = hit + ((r - np.arange(r.size)) * n)[m]      # r[m] * n + j
+        e = np.bincount(cells, minlength=k * n)             # e_ij at r * n + j
+        e_ih = e[near]
+        if cols is None:
+            w = steps[at.ravel()[cells], e_ih[m]]
+            total = weight[e] + np.bincount(cells, w, minlength=k * n)
+            return total.reshape(k, n)
+        w = steps[at[r], e_ih] * rows[np.arange(r.size), cols[r]]
+        return (weight[e[np.arange(k) * n + cols]]
+                + np.bincount(r, w, minlength=k))
 
 
 def change_statistic(effect: EffectSpec, net: BinaryNetwork, i: int, j: int,
@@ -340,6 +328,13 @@ def change_statistic(effect: EffectSpec, net: BinaryNetwork, i: int, j: int,
         contrib = stack[layer(stack, period), i][None]
     lane, actor = np.zeros(1, np.intp), np.array([i])
     return float(NetState(net.x).change_rows(effect, lane, actor, contrib)[0, j])
+
+
+def shared_partners(x):
+    """(i, j, e) over the ties (i, j) of x, both orders: e[t] counts the
+    shared partners of tie t on its two rows (exact, no matrix product)."""
+    i, j = np.nonzero(x)
+    return i, j, np.count_nonzero(x[i] & x[j], axis=1)
 
 
 def _dyad_terms(effect: EffectSpec, state: NetState, covs: CovariateSet,
@@ -357,7 +352,10 @@ def _dyad_terms(effect: EffectSpec, state: NetState, covs: CovariateSet,
         return x * state.deg[lane]  # row i sums x_ij deg_j
     if effect.kind == "gwesp":
         weight, _ = state.gwesp_tables(effect.gwesp_decay)
-        return x * weight[state.esp[lane]]
+        i, j, e = shared_partners(x)
+        terms = np.zeros(x.shape)
+        terms[i, j] = weight[e]
+        return terms
     contrib, valid = contribution(effect, covs)
     q = layer(contrib, period)
     if use_mask and valid is not None:

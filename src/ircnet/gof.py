@@ -13,6 +13,7 @@ from math import comb
 
 import numpy as np
 
+from .effects import shared_partners
 from .panel import BinaryNetwork, PanelError, degree_sequence
 
 PINV_TOL = 1e-10
@@ -55,10 +56,9 @@ def triad_census_undirected(net: BinaryNetwork) -> np.ndarray:
         raise PanelError("triad census needs n >= 3")
     deg = net.x.sum(axis=1, dtype=np.int64)
     edges = int(deg.sum()) // 2
-    # x * (x @ x) counts each triangle once per ordered pair of its ends;
-    # every count is far below 2**53, so the float64 product is exact
-    x = net.x.astype(np.float64)
-    triangles = int((x * (x @ x)).sum()) // 6
+    # a triangle is a shared partner of each of its 3 ties, both orders
+    _, _, e = shared_partners(net.x)
+    triangles = int(e.sum()) // 6
     two_paths = int((deg * (deg - 1) // 2).sum())  # open + closed 2-paths
     n201 = two_paths - 3 * triangles
     n102 = edges * (n - 2) - 2 * n201 - 3 * triangles

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import (STRUCTURAL_KINDS, TOGGLE_SIGN, ModelSpec, NetState,
-                      contribution, effect_totals, layer)
+from .effects import (STRUCTURAL_KINDS, ModelSpec, NetState, contribution,
+                      effect_totals, layer)
 from .panel import BinaryNetwork, CovariateSet
 
 MAX_MINISTEPS = 10_000_000
@@ -86,11 +86,8 @@ class Lanes(NetState):
         if any(t.model.effects != model.effects
                or t.model.model_type != model.model_type for t in tasks):
             raise SimulationError("the tasks of a batch must share effects and rule")
-        starts = [t.start for t in tasks]
-        shared = any(eff.kind == "gwesp" for eff in model.effects)
-        super().__init__(np.concatenate([s.x for s in starts]),
-                         np.concatenate([s.deg for s in starts]),
-                         np.concatenate([s.esp for s in starts]) if shared else None)
+        super().__init__(np.concatenate([t.start.x for t in tasks]),
+                         np.concatenate([t.start.deg for t in tasks]))
         n = self.x.shape[-1]
         period = np.array([t.period for t in tasks])
         rate = np.array([t.model.rates[t.period] for t in tasks], dtype=float)
@@ -153,12 +150,11 @@ class Lanes(NetState):
                 stack, lay = self.contrib[k]
                 lay = lay[lanes]
                 contrib = stack[lay, i] if cols is None else stack[lay, i, cols]
-            unsigned = self.unsigned_rows(eff, lanes, i, x_i, at, contrib, cols)
+            unsigned = self.unsigned_rows(eff, lanes, x_i, at, contrib, cols)
             total += beta[:, k] * unsigned
             if units is not None:
                 units.append(unsigned)
-        total *= TOGGLE_SIGN[at]
-        return total
+        return np.negative(total, out=total, where=at.view(bool))
 
     def add_scores(self, lanes, rows, probs, chosen):
         """Add one choice to the scores of `lanes`: rows (r, effects, k) are
@@ -223,7 +219,7 @@ def ministep(state: Lanes) -> Lanes:
     j = np.minimum((delta <= u[:, 2:3] * delta[:, -1:]).sum(axis=1), n - 1)
     if units is not None:
         changes = _stacked(units, delta.shape)
-        changes *= TOGGLE_SIGN[state.x[live, i]][:, None, :]
+        np.negative(changes, out=changes, where=state.x[live, i].view(bool)[:, None])
         changes[rows, :, i] = 0.0   # keeping the network changes nothing
         state.add_scores(live, changes, probs, j)
     lanes = live

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import actor_set, random_graph
+from conftest import actor_set, random_graph, toggled
 import ircnet.simulate as simulate
 from ircnet.effects import (ALL_KINDS, STRUCTURAL_KINDS, EffectSpec,
                             ModelSpec, NetState, contribution, statistic)
@@ -240,12 +240,11 @@ class TestKernel:
     @staticmethod
     def check_rebuild(rng, rule, keep):
         """Lanes on the effects FULL_MODEL_EFFECTS[keep], one per start
-        density; x, deg and (with gwesp) esp of every lane checked against a
-        rebuild from x after every step."""
+        density; x and deg of every lane checked against a rebuild from x
+        after every step."""
         beta = np.array([-1.0, 0.6, -0.05, 0.4, -0.3, 0.8, 0.5])
         assert len(beta) == len(FULL_MODEL_EFFECTS)
         effects = tuple(FULL_MODEL_EFFECTS[k] for k in keep)
-        gwesp = any(eff.kind == "gwesp" for eff in effects)
         for n in (4, 11, 30):
             covs = kernel_covs(rng, n)
             model = ModelSpec(effects, beta=beta[keep],
@@ -254,7 +253,6 @@ class TestKernel:
                           np.random.SeedSequence([n, k]))
                      for k, p in enumerate((0.05, 0.3, 0.7))]
             state = Lanes(tasks, covs)
-            assert (state.esp is None) != gwesp
             toggles = np.zeros(len(tasks), dtype=int)
             while state.live.size:
                 before = state.deg.sum(axis=1)
@@ -263,8 +261,6 @@ class TestKernel:
                 fresh = NetState(state.x)
                 assert np.array_equal(state.x, state.x.transpose(0, 2, 1))
                 assert np.array_equal(state.deg, fresh.deg)
-                if gwesp:
-                    assert np.array_equal(state.esp, fresh.esp)
             assert np.all(toggles > 0)
 
     @pytest.mark.parametrize("rule", ["forcing", "pairwise-conjunctive"])
@@ -275,6 +271,28 @@ class TestKernel:
     def test_lanes_keep_no_esp_without_gwesp(self, rng, rule):
         self.check_rebuild(rng, rule, [k for k, eff in enumerate(FULL_MODEL_EFFECTS)
                                        if eff.kind != "gwesp"])
+
+    def test_gwesp_rows_match_statistic_difference(self, rng):
+        """Every gwesp change row of a three-lane state against actor i's
+        statistic after and before the toggle, and every entry of the rows
+        against the same entry asked for alone (`cols`)."""
+        n, gwesp = 11, EffectSpec("gwesp")
+        x = np.stack([random_graph(rng, n, p).x for p in (0.05, 0.3, 0.7)])
+        x[:, 4] = x[:, :, 4] = 0        # actor 4 isolated in every lane
+        nets = [BinaryNetwork(actor_set(n), 0, lane) for lane in x]
+        state = NetState(x)
+        lanes, i = np.repeat(np.arange(3), n), np.tile(np.arange(n), 3)
+        rows = state.change_rows(gwesp, lanes, i)
+        for r, (lane, actor) in enumerate(zip(lanes, i)):
+            before = statistic(gwesp, nets[lane])[1][actor]
+            others = np.delete(np.arange(n), actor)
+            diff = [statistic(gwesp, toggled(nets[lane], actor, j))[1][actor]
+                    - before for j in others]
+            np.testing.assert_allclose(rows[r, others], diff, rtol=1e-12,
+                                       atol=1e-12)
+        r, j = np.nonzero(np.arange(n) != i[:, None])    # every j != i
+        at = state.change_rows(gwesp, lanes[r], i[r], cols=j)
+        assert np.array_equal(at, rows[r, j])
 
     @pytest.mark.parametrize("rule", ["forcing", "pairwise-conjunctive"])
     def test_results_do_not_depend_on_lane_cap_or_batch(self, rng, rule,
