@@ -25,6 +25,9 @@ STRUCTURAL_KINDS = ("density", "gwesp", "degPlus")
 ACTOR_COV_KINDS = ("egoPlusAltX", "egoPlusAltSqX", "simX")
 DYAD_COV_KINDS = ("dyadX",)
 ALL_KINDS = STRUCTURAL_KINDS + ACTOR_COV_KINDS + DYAD_COV_KINDS
+# kinds whose change rows read the network; every other kind's rows are
+# fixed for a given period, so the simulator folds them (`simulate.Lanes`)
+NETWORK_KINDS = ("gwesp", "degPlus")
 
 
 class EffectError(ValueError):
@@ -230,11 +233,11 @@ class NetState:
     def toggle(self, lanes, i, j):
         """In lane lanes[r], add tie (i[r], j[r]) if absent, else remove it."""
         d = TOGGLE_SIGN[self.x[lanes, i, j]]
-        ends = np.empty((len(lanes), 2), dtype=np.intp)
-        ends[:, 0], ends[:, 1] = i, j
-        at = lanes[:, None]
-        self.x[at, ends, ends[:, ::-1]] = (d > 0)[:, None]
-        self.deg[at, ends] += d[:, None]
+        tie = d > 0
+        self.x[lanes, i, j] = tie
+        self.x[lanes, j, i] = tie
+        self.deg[lanes, i] += d
+        self.deg[lanes, j] += d
 
     def gwesp_tables(self, decay: float):
         """(weight, steps) indexed by shared-partner count e = 0..n.
@@ -300,12 +303,12 @@ class NetState:
         j) cell, give e_i.; `bincount` adds each cell's steps in ascending h."""
         weight, steps = self.gwesp_tables(decay)
         k, n = x_i.shape
-        near = np.flatnonzero(x_i.view(bool))   # i's neighbours h, at r * n + h
-        r = near // n
-        rows = self.x[lanes[r], near - r * n]   # their rows: ties (h, j) at
-        hit = np.flatnonzero(rows.view(bool))   # m * n + j, for row r[m]
-        m = hit // n
-        cells = hit + ((r - np.arange(r.size)) * n)[m]      # r[m] * n + j
+        near = x_i.view(bool).ravel().nonzero()[0]  # i's neighbours h, at r * n + h
+        r, h = divmod(near, n)
+        rows = self.x[lanes[r], h]              # their rows: ties (h, j) at
+        hit = rows.view(bool).ravel().nonzero()[0]  # m * n + j, for row r[m]
+        m, j = divmod(hit, n)
+        cells = r[m] * n + j
         e = np.bincount(cells, minlength=k * n)             # e_ij at r * n + j
         e_ih = e[near]
         if cols is None:

@@ -12,6 +12,7 @@ convergence diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,8 +20,9 @@ from scipy.stats import norm as _norm
 
 from .effects import ModelSpec, target_statistics
 from .panel import BinaryNetSeries, CovariateSet, hamming
-from .simulate import (Task, panel_stats, period_streams, simulate_panel,
-                       simulate_period, start_states)
+from .simulate import (Task, panel_results, panel_stats, panel_tasks,
+                       period_streams, simulate_panel, simulate_period,
+                       start_states)
 
 RATE_FLOOR = 0.01
 INITIAL_RATE_FALLBACK = 0.5
@@ -73,6 +75,12 @@ class EstimationOptions:
         for name in ("n1", "subphases", "n3"):
             if getattr(self, name) <= 0:
                 raise OptionRangeError(name, "positive")
+        if self.max_subphase_iter is not None and self.max_subphase_iter <= 0:
+            raise OptionRangeError("max_subphase_iter", "positive")
+        if not (math.isfinite(self.derivative_step) and self.derivative_step):
+            raise OptionRangeError("derivative_step", "finite and nonzero")
+        if math.isnan(self.t_max):
+            raise OptionRangeError("t_max", "a number")
 
 
 @dataclass
@@ -153,7 +161,7 @@ def initialize(panel: BinaryNetSeries, model: ModelSpec,
 
 
 def phase1_derivative(theta, panel, model, covs, options: EstimationOptions,
-                      rng=None, check=True, starts=None) -> np.ndarray:
+                      rng=None, check=True, starts=None, draws=()):
     """Monte Carlo estimate of d E[S] / d theta from n1 panel replicates.
 
     Rate m's column is a finite difference with common random numbers: the
@@ -171,6 +179,12 @@ def phase1_derivative(theta, panel, model, covs, options: EstimationOptions,
     column is a finite difference like the rates', re-simulating every
     period. All replicates and columns run as one batch. `starts` are
     `start_states(panel)`, if the caller has them.
+
+    `draws` are other tasks to run in the same batch, ahead of the
+    derivative's own: panel simulations at theta (`panel_tasks`), whose
+    streams the caller drew. With them, returns (d, their (totals, changed,
+    ends)); a task's results do not depend on its batch, so they are those
+    of a batch of their own.
     """
     if rng is None:
         rng = np.random.default_rng(options.seed)
@@ -194,14 +208,17 @@ def phase1_derivative(theta, panel, model, covs, options: EstimationOptions,
     layout = ([(_with_theta(model, theta, n_periods), m) for m in range(n_periods)]
               + [(perturbed(m), m) for m in range(n_periods)]
               + [(mdl, m) for mdl in effect_models for m in range(n_periods)])
-    tasks = []
+    tasks = list(draws)
     for _ in range(n1):
         streams = period_streams(rng, n_periods)
         tasks += [Task(starts[m], mdl, m, streams[m]) for mdl, m in layout]
-    totals, changed, _, *scores = simulate_period(tasks, covs=covs,
-                                                  scores=by_score)
-    changed = changed.reshape(n1, len(layout))
-    totals = totals.reshape(n1, len(layout), -1)
+    k = len(draws)
+    asks = [False] * k + [True] * (len(tasks) - k) if by_score else False
+    totals, changed, ends, *scores = simulate_period(tasks, covs=covs,
+                                                     scores=asks)
+    drawn = totals[:k], changed[:k], ends[:k]
+    changed = changed[k:].reshape(n1, len(layout))
+    totals = totals[k:].reshape(n1, len(layout), -1)
     # each column's task per period: rate column m reads the base row with
     # period m taken from the rates row, an effect column its own row
     rows = np.arange(len(layout)).reshape(-1, n_periods)
@@ -228,11 +245,11 @@ def phase1_derivative(theta, panel, model, covs, options: EstimationOptions,
             raise SingularDerivativeError(
                 f"derivative matrix is singular (condition number {cond:.3g}); "
                 "the model contains collinear or unidentified effects")
-    return d
+    return (d, drawn) if draws else d
 
 
 def phase2_update(theta, deriv, panel, model, covs, options: EstimationOptions,
-                  rng=None, starts=None):
+                  rng=None, starts=None, first=None):
     """Robbins-Monro iterations over halving-gain subphases.
 
     Within a subphase: theta <- theta - a * D^-1 (S_sim - s_obs), one
@@ -242,6 +259,9 @@ def phase2_update(theta, deriv, panel, model, covs, options: EstimationOptions,
     error is noise) after a minimum number of iterations, or at the hard
     cap. The gain halves between subphases; the estimate is the average of
     theta over the final subphase. Returns (theta_hat, total_iterations).
+    `first`, if given, is the first iteration's panel statistics, simulated
+    by the caller at `theta` on `rng`'s next streams (`estimate` runs it in
+    phase 1's batch).
     """
     if rng is None:
         rng = np.random.default_rng(options.seed)
@@ -260,9 +280,12 @@ def phase2_update(theta, deriv, panel, model, covs, options: EstimationOptions,
         cross_sum = 0.0
         thetas = []
         for it in range(cap):
-            stats, _ = simulate_panel(panel, _with_theta(model, theta, n_periods),
-                                      covs, rng, starts)
-            dev = stats[0] - s_obs
+            if first is None:
+                stats = simulate_panel(panel, _with_theta(model, theta, n_periods),
+                                       covs, rng, starts)[0][0]
+            else:
+                stats, first = first, None
+            dev = stats - s_obs
             theta = theta - gain * (d_inv @ dev)
             theta[:n_periods] = np.maximum(theta[:n_periods], RATE_FLOOR)
             thetas.append(theta.copy())
@@ -286,24 +309,25 @@ def phase3_finalize(theta_hat, panel, model, covs, options: EstimationOptions,
                     rng=None, iterations=0, starts=None) -> EstimationResult:
     """Simulate at the fixed estimate; derive SEs and convergence diagnostics.
 
-    The n3 draws run as one `simulate_panel` batch, and the derivative as
-    another."""
+    The n3 draws and the derivative run as one batch: the draws' streams
+    come first from `rng`, then the derivative's."""
     if rng is None:
         rng = np.random.default_rng(options.seed)
     n_periods = panel.n_waves - 1
     starts = starts or start_states(panel)
     s_obs = observed_targets(panel, model, covs)
     p = len(theta_hat)
-    stats, finals = simulate_panel(panel, _with_theta(model, theta_hat, n_periods),
-                                   covs, rng, starts, options.n3)
+    draws = panel_tasks(panel, _with_theta(model, theta_hat, n_periods), rng,
+                        starts, options.n3)
+    deriv, drawn = phase1_derivative(theta_hat, panel, model, covs, options,
+                                     rng, False, starts, draws)
+    stats, finals = panel_results(panel, *drawn)
     sigma = np.cov(stats, rowvar=False)
     sigma = np.atleast_2d(sigma)
     ridge = False
     if np.linalg.matrix_rank(sigma) < p or np.linalg.cond(sigma) > 1e12:
         sigma = sigma + 1e-8 * np.eye(p)
         ridge = True
-    deriv = phase1_derivative(theta_hat, panel, model, covs, options, rng,
-                              check=False, starts=starts)
     d_inv = np.linalg.pinv(deriv)
     cov_theta = d_inv @ sigma @ d_inv.T
     se = np.sqrt(np.maximum(np.diag(cov_theta), 0.0))
@@ -342,20 +366,26 @@ def estimate(panel: BinaryNetSeries, model: ModelSpec, covs: CovariateSet = None
                         for s in np.random.SeedSequence(options.seed).spawn(3))
     theta0 = initialize(panel, model, covs)
     starts = start_states(panel)
-    deriv = None
+    n_periods = panel.n_waves - 1
+
+    # phase 1's batch also runs phase 2's first iteration, which is at the
+    # same theta; a retry runs the same tasks again, so rng2 is drawn once
+    first = panel_tasks(panel, _with_theta(model, theta0, n_periods), rng2,
+                        starts)
     for attempt in range(3):
         try:
             # noise can make a small-n1 derivative estimate singular;
             # retry with more replicates before giving up on the model
             opts1 = replace(options, n1=options.n1 * 2 ** attempt)
-            deriv = phase1_derivative(theta0, panel, model, covs, opts1, rng1,
-                                      starts=starts)
+            deriv, drawn = phase1_derivative(theta0, panel, model, covs, opts1,
+                                             rng1, True, starts, first)
             break
         except SingularDerivativeError:
             if attempt == 2:
                 raise
+    stats = panel_results(panel, *drawn)[0][0]
     theta_hat, iters = phase2_update(theta0, deriv, panel, model, covs, options,
-                                     rng2, starts)
+                                     rng2, starts, stats)
     result = phase3_finalize(theta_hat, panel, model, covs, options, rng3,
                              iterations=iters, starts=starts)
     # if the deviations have not levelled off, restart phase 2 from the
@@ -364,10 +394,13 @@ def estimate(panel: BinaryNetSeries, model: ModelSpec, covs: CovariateSet = None
         if result.conv_ratio <= options.t_max:
             break
         try:
-            deriv = phase1_derivative(result.theta, panel, model, covs,
-                                      options, rng1, check=False, starts=starts)
+            first = panel_tasks(panel, _with_theta(model, result.theta,
+                                                   n_periods), rng2, starts)
+            deriv, drawn = phase1_derivative(result.theta, panel, model, covs,
+                                             options, rng1, False, starts, first)
+            stats = panel_results(panel, *drawn)[0][0]
             theta_hat, more = phase2_update(result.theta, deriv, panel, model,
-                                            covs, options, rng2, starts)
+                                            covs, options, rng2, starts, stats)
             candidate = phase3_finalize(theta_hat, panel, model, covs, options,
                                         rng3, iterations=iters + more,
                                         starts=starts)

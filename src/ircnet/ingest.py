@@ -122,9 +122,13 @@ def aggregate(records, dictionary: DisambiguationDictionary, actors: ActorSet,
 
 
 def aggregate_series(records, dictionary, actors, years, domain=None):
-    """One WeightedNetwork per year over a fixed record list."""
-    records = list(records)
-    nets = [aggregate(records, dictionary, actors, year, domain)
+    """One WeightedNetwork per year over a fixed record list: the records
+    are bucketed by year in one pass, and each year aggregates its own."""
+    by_year = {year: [] for year in years}
+    for rec in records:
+        if rec.year in by_year:
+            by_year[rec.year].append(rec)
+    nets = [aggregate(by_year[year], dictionary, actors, year, domain)
             for year in years]
     return WeightedNetSeries(tuple(nets))
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import (STRUCTURAL_KINDS, ModelSpec, NetState, contribution,
-                      effect_totals, layer)
+from .effects import (NETWORK_KINDS, STRUCTURAL_KINDS, ModelSpec, NetState,
+                      contribution, effect_totals, layer)
 from .panel import BinaryNetwork, CovariateSet
 
 MAX_MINISTEPS = 10_000_000
@@ -79,6 +79,12 @@ class Lanes(NetState):
     at least one lane made a ministep. With `scores`, `score` (lanes,
     effects) and `info` (lanes, effects, effects) accumulate each lane's
     beta-score and its per-step conditional covariances; else both are None.
+
+    The effects whose change rows do not read the network (density and the
+    covariate effects) are folded: `folded` holds one (n, n) matrix per
+    distinct (their betas, period) among the tasks, the beta-weighted sum
+    of those effects' unsigned rows in effect order, and lane r reads
+    matrix `fold[r]`. The matrices live as long as the lanes.
     """
 
     def __init__(self, tasks, covs: CovariateSet = None, scores: bool = False):
@@ -102,6 +108,18 @@ class Lanes(NetState):
             if eff.kind not in STRUCTURAL_KINDS:
                 stack, _ = contribution(eff, covs)
                 self.contrib[k] = (stack, layer(stack, period))
+        self.network = [k for k, eff in enumerate(self.effects)
+                        if eff.kind in NETWORK_KINDS]
+        fixed = [k for k in range(len(self.effects)) if k not in self.network]
+        _, firsts, self.fold = np.unique(
+            np.column_stack((self.beta[:, fixed], period)), axis=0,
+            return_index=True, return_inverse=True)
+        self.folded = np.zeros((len(firsts), n, n))
+        # matrix by matrix, so that no temporary is larger than n x n
+        for matrix, r in zip(self.folded, firsts):
+            for k in fixed:
+                matrix += self.beta[r, k] * self.unsigned_rows(
+                    self.effects[k], None, None, None, self._contrib(k, r))
         self.streams = [np.random.default_rng(t.stream) for t in tasks]
         self.draws = 0      # ministeps of uniforms each live lane has read
         self.live = np.arange(len(tasks))
@@ -135,25 +153,38 @@ class Lanes(NetState):
             self.live[going], self.scale[going], self.block[going],
             self.times[going], self.actors[going])
 
+    def _contrib(self, k, lanes, i=slice(None), cols=None):
+        """Effect k's `contribution` values for lanes `lanes`: its rows i,
+        or, given `cols`, their entries at cols (whole matrices by
+        default); None if effect k has no covariate."""
+        if k not in self.contrib:
+            return None
+        stack, lay = self.contrib[k]
+        return stack[lay[lanes], i] if cols is None else stack[lay[lanes], i, cols]
+
     def objective(self, lanes, i, cols=None, units=None) -> np.ndarray:
         """Objective change of actor i[r] in lane lanes[r] for toggling each
         tie (i[r], j), or, given `cols`, tie (i[r], cols[r]) alone: the
-        beta-weighted sum of the effects' `change_rows`, with the common
-        sign taken out of the sum (exact, as negation does not round).
-        A list passed as `units` receives each effect's unsigned rows."""
+        lane's folded row plus the beta-weighted `change_rows` of the
+        effects that read the network, with the common sign taken out of
+        the sum (exact, as negation does not round). A list passed as
+        `units` receives each effect's unsigned rows, in effect order."""
         x_i, at = self.ties(lanes, i, cols)
-        beta = self.beta[lanes] if cols is not None else self.beta[lanes, :, None]
-        total = np.zeros(at.shape)
-        for k, eff in enumerate(self.effects):
-            contrib = None
-            if k in self.contrib:
-                stack, lay = self.contrib[k]
-                lay = lay[lanes]
-                contrib = stack[lay, i] if cols is None else stack[lay, i, cols]
-            unsigned = self.unsigned_rows(eff, lanes, x_i, at, contrib, cols)
+        fold = self.fold[lanes]
+        if cols is None:
+            total = self.folded[fold, i]
+            beta = self.beta[lanes, :, None]
+        else:
+            total = self.folded[fold, i, cols]
+            beta = self.beta[lanes]
+        rows = {k: self.unsigned_rows(self.effects[k], lanes, x_i, at, cols=cols)
+                for k in self.network}
+        for k, unsigned in rows.items():
             total += beta[:, k] * unsigned
-            if units is not None:
-                units.append(unsigned)
+        if units is not None:
+            units += [rows[k] if k in rows else self.unsigned_rows(
+                eff, lanes, x_i, at, self._contrib(k, lanes, i, cols), cols)
+                for k, eff in enumerate(self.effects)]
         return np.negative(total, out=total, where=at.view(bool))
 
     def add_scores(self, lanes, rows, probs, chosen):
@@ -255,25 +286,33 @@ def ministep(state: Lanes) -> Lanes:
 
 def _run(tasks, covs, scores=False):
     """Every task of a batch, LANE_CAP lanes at a time; see `simulate_period`."""
-    totals, changed, ends, score, info = [], [], [], [], []
+    asks = np.zeros(len(tasks), dtype=bool)
+    asks[:] = scores
+    q = len(tasks[0].model.effects) if tasks else 0
+    score = np.empty((np.count_nonzero(asks), q))
+    info = np.empty((score.shape[0], q, q))
+    totals, changed, ends = [], [], []
+    at = 0      # rows of score and info filled so far
     for first in range(0, len(tasks), LANE_CAP):
         chunk = tasks[first:first + LANE_CAP]
-        state = Lanes(chunk, covs, scores)
+        ask = asks[first:first + LANE_CAP]
+        state = Lanes(chunk, covs, ask.any())
         while state.live.size:
             ministep(state)
-        if scores:
-            score.append(state.score)
-            info.append(state.info)
+        if state.score is not None:
+            done = at + np.count_nonzero(ask)
+            score[at:done], info[at:done] = state.score[ask], state.info[ask]
+            at = done
         for lane, task in enumerate(chunk):
             end = state.x[lane]
             totals.append(effect_totals(state.effects, state, covs,
                                         task.period, lane))
             changed.append(np.count_nonzero(end != task.start.x[0]) // 2)
             ends.append(end.copy() if task.keep_end else None)
-    if scores:
-        return (np.array(totals), np.array(changed), ends,
-                np.concatenate(score), np.concatenate(info))
-    return np.array(totals), np.array(changed), ends
+        del state   # its lanes go before the next chunk's are built
+    if scores is False:
+        return np.array(totals), np.array(changed), ends
+    return np.array(totals), np.array(changed), ends, score, info
 
 
 def simulate_period(start, model: ModelSpec = None, covs: CovariateSet = None,
@@ -290,9 +329,10 @@ def simulate_period(start, model: ModelSpec = None, covs: CovariateSet = None,
     For a batch of tasks (which share effects, rule and `covs`), returns
     (totals, changed, ends): a (tasks, effects) array, a (tasks,) array and
     a list holding each task's end adjacency if it asked to keep it, else
-    None. With `scores`, two more: each task's beta-score (tasks, effects)
-    and the sum of its per-step score covariances (tasks, effects,
-    effects), whose expectation is the score's covariance.
+    None. With `scores` (True for every task, or one bool per task), two
+    more, over the tasks it names in batch order: each one's beta-score
+    (tasks, effects) and the sum of its per-step score covariances (tasks,
+    effects, effects), whose expectation is the score's covariance.
     """
     if not isinstance(start, BinaryNetwork):
         return _run(start, covs, scores)
@@ -312,16 +352,11 @@ def panel_stats(changed, totals) -> np.ndarray:
     return np.concatenate([changed, totals.sum(axis=-2)], axis=-1)
 
 
-def simulate_panel(panel, model: ModelSpec, covs: CovariateSet, rng,
-                   starts=None, replicates=1):
-    """Simulate `replicates` independent panels, every period from its
-    observed start wave, as one batch.
-
-    Each replicate reads its own `period_streams(rng, periods)`, drawn in
-    turn. `starts`, if given, are `start_states(panel)`, built once by the
-    caller. Returns (stats, finals): stats is the (replicates, p) array of
-    `panel_stats`; finals holds each replicate's simulated last wave.
-    """
+def panel_tasks(panel, model: ModelSpec, rng, starts=None, replicates=1):
+    """The tasks of `replicates` independent panel simulations, every period
+    from its observed start wave: each replicate's periods in turn, on its
+    own `period_streams(rng, periods)`, drawn in turn. `starts`, if given,
+    are `start_states(panel)`, built once by the caller."""
     n_periods = panel.n_waves - 1
     starts = starts or start_states(panel)
     last = n_periods - 1
@@ -329,9 +364,25 @@ def simulate_panel(panel, model: ModelSpec, covs: CovariateSet, rng,
     for _ in range(replicates):
         tasks += [Task(starts[m], model, m, stream, keep_end=m == last)
                   for m, stream in enumerate(period_streams(rng, n_periods))]
-    totals, changed, ends = simulate_period(tasks, covs=covs)
+    return tasks
+
+
+def panel_results(panel, totals, changed, ends):
+    """(stats, finals) of the replicates of `panel_tasks`, from their
+    tasks' `simulate_period` results: stats is the (replicates, p) array of
+    `panel_stats`; finals holds each replicate's simulated last wave."""
+    n_periods = panel.n_waves - 1
+    replicates = len(changed) // n_periods
     stats = panel_stats(changed.reshape(replicates, n_periods),
                         totals.reshape(replicates, n_periods, -1))
     year = panel.wave(n_periods).year
     return stats, [BinaryNetwork(panel.actors, year, x)
-                   for x in ends[last::n_periods]]
+                   for x in ends[n_periods - 1::n_periods]]
+
+
+def simulate_panel(panel, model: ModelSpec, covs: CovariateSet, rng,
+                   starts=None, replicates=1):
+    """Simulate `replicates` independent panels as one batch: the tasks of
+    `panel_tasks`, read back by `panel_results`."""
+    tasks = panel_tasks(panel, model, rng, starts, replicates)
+    return panel_results(panel, *simulate_period(tasks, covs=covs))

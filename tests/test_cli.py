@@ -3,6 +3,8 @@ import dataclasses
 import itertools
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -278,6 +280,38 @@ class TestEstimateAndGof:
         assert snapshots[0] == snapshots[1]
 
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class TestTracer:
+    """`bench/tracer.py` wraps the public functions of every ircnet module
+    and reads some call arguments: `args[4].n1` of `phase1_derivative`,
+    `args[0].draws_final_networks` of `gof_test`. A traced command must
+    still run and record those spans."""
+
+    def test_traced_estimate_and_gof(self, tmp_path):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(5))
+        cfg = write_config(root, extra="n1 = 4\nn3 = 20\nsubphases = 1\n"
+                                       "max_subphase_iter = 5\nt_max = inf\n")
+        assert main(["ingest", cfg]) == 0
+        assert main(["backbone", cfg]) == 0
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (os.path.join(REPO, "src"),
+                          os.environ.get("PYTHONPATH")))))
+        for command, span in (("estimate", "estimate.phase1_derivative"),
+                              ("gof", "gof.gof_test")):
+            dump = os.path.join(root, f"{command}.json")
+            done = subprocess.run(
+                [sys.executable, os.path.join(REPO, "bench", "tracer.py"),
+                 dump, command, cfg], env=env, capture_output=True, text=True,
+                timeout=300)
+            assert done.returncode == 0, done.stderr
+            with open(dump) as fh:
+                spans = json.load(fh)["spans"]
+            assert span in {name for name, *_ in spans}
+
+
 class TestResultFile:
     def test_round_trip(self, tmp_path):
         # every field but the draws, which go to .npy files
@@ -379,8 +413,10 @@ class TestExitCodes:
         assert main(["ingest", str(path)]) == 1
         assert f"{path}:2:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [("n1", "ten"), ("t_max", "x"),
-                                           ("n1", "0"), ("initial_gain", "1.5")])
+    @pytest.mark.parametrize("key,value", [
+        ("n1", "ten"), ("t_max", "x"), ("n1", "0"), ("initial_gain", "1.5"),
+        ("max_subphase_iter", "0"), ("max_subphase_iter", "-3"),
+        ("derivative_step", "0"), ("t_max", "nan")])
     def test_unparseable_estimation_value(self, tmp_path, capsys, key, value):
         root = str(tmp_path)
         write_fixtures(root, random_records(10))

@@ -7,7 +7,8 @@ import pytest
 from conftest import actor_set, random_graph
 from ircnet.effects import EffectSpec, ModelSpec
 from ircnet.estimate import (EstimationError, EstimationOptions,
-                             EstimationResult, SingularDerivativeError,
+                             EstimationResult, OptionRangeError,
+                             SingularDerivativeError,
                              estimate, initialize,
                              observed_targets, p_value, p_values,
                              phase1_derivative, phase2_update, phase3_finalize,
@@ -239,6 +240,84 @@ class TestPhase2And3:
         assert np.all(np.abs(r1.theta - r2.theta) < 3 * (r1.se + r2.se) + 1e-9)
 
 
+def result_bytes(res):
+    """Every array and number of an `EstimationResult`, as bytes."""
+    parts = [res.theta, res.se, res.derivative, res.covariance, res.tratios,
+             np.array([res.conv_ratio, res.iterations]), res.draws_stats]
+    parts += [net.x for net in res.draws_final_networks]
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in parts)
+
+
+class TestBatchMerges:
+    """Phase 1 runs phase 2's first iteration in its batch, and phase 3 its
+    draws and derivative in one batch; both equal the separate calls."""
+
+    def covariate_panel(self, rng, rule):
+        effects = (EffectSpec("density"), EffectSpec("gwesp"),
+                   EffectSpec("egoPlusAltX", "ac"))
+        model = ModelSpec(effects, rates=np.full(3, 2.0),
+                          beta=np.array([-1.2, 0.4, 0.5]), model_type=rule)
+        covs = CovariateSet().add(ActorCovariate("ac", rng.random((12, 3))))
+        return make_panel(rng, 12, 4, model, covs, start_p=0.15, seed=3), \
+            model, covs
+
+    @pytest.mark.parametrize("rule", ["forcing", "pairwise-conjunctive"])
+    @pytest.mark.parametrize("n1", [3, 16])      # finite differences, scores
+    @pytest.mark.parametrize("t_max", [np.inf, 0.0])    # restarts at 0
+    def test_estimate_equals_phases_in_turn(self, rng, rule, n1, t_max):
+        panel, model, covs = self.covariate_panel(rng, rule)
+        opts = EstimationOptions(n1=n1, n3=12, seed=4, subphases=2,
+                                 max_subphase_iter=6, t_max=t_max)
+        got = estimate(panel, model, covs, opts)
+        rng1, rng2, rng3 = (np.random.default_rng(s)
+                            for s in np.random.SeedSequence(4).spawn(3))
+        theta0 = initialize(panel, model, covs)
+        for attempt in range(3):    # n1 = 3 is singular at first: a retry
+            try:
+                deriv = phase1_derivative(theta0, panel, model, covs,
+                                          replace(opts, n1=n1 * 2 ** attempt),
+                                          rng1)
+                break
+            except SingularDerivativeError:
+                assert n1 == 3 and attempt < 2
+        theta, iters = phase2_update(theta0, deriv, panel, model, covs, opts,
+                                     rng2)
+        want = phase3_finalize(theta, panel, model, covs, opts, rng3,
+                               iterations=iters)
+        for _ in range(estimate_module.RESTARTS):
+            if want.conv_ratio <= t_max:
+                break
+            deriv = phase1_derivative(want.theta, panel, model, covs, opts,
+                                      rng1, check=False)
+            theta, more = phase2_update(want.theta, deriv, panel, model, covs,
+                                        opts, rng2)
+            again = phase3_finalize(theta, panel, model, covs, opts, rng3,
+                                    iterations=iters + more)
+            if again.conv_ratio >= want.conv_ratio:
+                break
+            iters += more
+            want = again
+        assert result_bytes(got) == result_bytes(want)
+
+    @pytest.mark.parametrize("rule", ["forcing", "pairwise-conjunctive"])
+    @pytest.mark.parametrize("n1", [3, 16])
+    def test_phase3_equals_draws_then_derivative(self, rng, rule, n1):
+        panel, model, covs = self.covariate_panel(rng, rule)
+        opts = EstimationOptions(n1=n1, n3=15, seed=4)
+        theta = np.array([2.0, 1.5, 2.5, -1.2, 0.4, 0.5])
+        got = phase3_finalize(theta, panel, model, covs, opts,
+                              np.random.default_rng(6))
+        one = np.random.default_rng(6)
+        at = replace(model, rates=theta[:3], beta=theta[3:])
+        stats, finals = simulate_panel(panel, at, covs, one, replicates=15)
+        deriv = phase1_derivative(theta, panel, model, covs, opts, one,
+                                  check=False)
+        assert got.draws_stats.tobytes() == stats.tobytes()
+        assert [f.x.tobytes() for f in got.draws_final_networks] == \
+            [f.x.tobytes() for f in finals]
+        assert got.derivative.tobytes() == deriv.tobytes()
+
+
 class TestPValues:
     def test_table_strong_effect(self):
         p = p_value(0.6447, 0.0548)
@@ -284,3 +363,18 @@ class TestOptionsValidation:
     def test_positive_counts(self):
         with pytest.raises(EstimationError):
             EstimationOptions(n1=0)
+
+    @pytest.mark.parametrize("key,value", [
+        ("max_subphase_iter", 0), ("max_subphase_iter", -3),
+        ("derivative_step", 0.0), ("derivative_step", float("nan")),
+        ("derivative_step", float("inf")), ("t_max", float("nan"))])
+    def test_out_of_range(self, key, value):
+        with pytest.raises(OptionRangeError) as info:
+            EstimationOptions(**{key: value})
+        assert info.value.key == key
+
+    def test_edge_values_accepted(self):
+        # a backward step (central differences) and no convergence threshold
+        opts = EstimationOptions(derivative_step=-0.05, t_max=float("inf"),
+                                 max_subphase_iter=1)
+        assert opts.derivative_step == -0.05

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import actor_set
-from ircnet.ingest import (OUT_OF_SET, ArticleRecord, DisambiguationDictionary,
-                           IngestError, UnmatchedCountryError, aggregate,
-                           aggregate_series, describe, disambiguate,
-                           expand_pairs)
+import ircnet.ingest as ingest
+from ircnet.ingest import (OUT_OF_SET, AggregationReport, ArticleRecord,
+                           DisambiguationDictionary, IngestError,
+                           UnmatchedCountryError, aggregate, aggregate_series,
+                           describe, disambiguate, expand_pairs)
 from ircnet.panel import ActorSet, BinaryNetwork, BinaryNetSeries
 
 DICT = DisambiguationDictionary({
@@ -141,6 +142,31 @@ class TestAggregate:
     def test_empty_affiliations_rejected(self):
         with pytest.raises(IngestError):
             rec("1", 2000, [])
+
+    def test_series_scans_each_record_once(self, monkeypatch):
+        # the series equals a per-year `aggregate` over every record, and
+        # its `aggregate` calls see each record once between them
+        records = fixture_records()
+        records += [rec("11", 2000, ["FRA", "USA"], domains=("S&T",)),
+                    rec("12", 2001, ["CHN", "DEU"], domains=("S&T",))]
+        random.Random(3).shuffle(records)
+        years = [2000, 2001]
+        for domain in (None, "S&T"):
+            expected = [aggregate(records, DICT, ACTORS, y, domain).w
+                        for y in years]
+            reports = []
+
+            def counted(*args, **kwargs):
+                reports.append(kwargs.setdefault("report", AggregationReport()))
+                return aggregate(*args, **kwargs)
+
+            monkeypatch.setattr(ingest, "aggregate", counted)
+            series = aggregate_series(records, DICT, ACTORS, years, domain)
+            monkeypatch.undo()
+            assert [net.year for net in series] == years
+            for net, w in zip(series, expected):
+                assert net.w.tobytes() == w.tobytes()
+            assert sum(r.records_seen for r in reports) == len(records)
 
 
 class TestDescribe:

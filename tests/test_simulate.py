@@ -375,6 +375,61 @@ class TestKernel:
                         assert entry[0] == eff_row[i]
 
 
+class TestFold:
+    """The objective's folded matrices: one per distinct (beta, period)."""
+
+    @pytest.mark.parametrize("rule", ["forcing", "pairwise-conjunctive"])
+    def test_objective_equals_weighted_change_rows(self, rng, rule):
+        n = 13
+        covs = kernel_covs(rng, n)
+        tasks = kernel_tasks(rng, n, rule, covs, 6)
+        state = Lanes(tasks, covs)
+        assert len({t.period for t in tasks}) > 1
+        assert len({t.model.beta.tobytes() for t in tasks}) == len(tasks)
+        lanes, i = np.repeat(np.arange(6), n), np.tile(np.arange(n), 6)
+        expected = np.zeros((lanes.size, n))
+        for k, eff in enumerate(FULL_MODEL_EFFECTS):
+            contrib = None
+            if eff.kind not in STRUCTURAL_KINDS:
+                stack, _ = contribution(eff, covs)
+                contrib = stack[np.minimum([t.period for t in tasks],
+                                           len(stack) - 1)][lanes, i]
+            expected += (state.beta[lanes, k, None]
+                         * state.change_rows(eff, lanes, i, contrib))
+        got = state.objective(lanes, i)
+        off = np.arange(n) != i[:, None]        # entry i is not an option
+        np.testing.assert_allclose(got[off], expected[off], rtol=1e-12,
+                                   atol=1e-12)
+        r, j = np.nonzero(off)
+        assert np.array_equal(state.objective(lanes[r], i[r], cols=j),
+                              got[r, j])
+
+    def test_one_matrix_per_beta_and_period(self, rng, monkeypatch):
+        n = 9
+        covs = kernel_covs(rng, n)
+        betas = [rng.normal(0.0, 0.5, len(FULL_MODEL_EFFECTS)) for _ in range(3)]
+        start = NetState(random_graph(rng, n, 0.3).x)
+        tasks = [Task(start, ModelSpec(FULL_MODEL_EFFECTS, beta=betas[k % 3],
+                                       rates=np.array([2.0, 3.0])),
+                      k % 2, np.random.SeedSequence(k)) for k in range(24)]
+        held = []
+
+        class Counted(Lanes):
+            def __init__(self, chunk, *args):
+                super().__init__(chunk, *args)
+                keys = {(t.model.beta.tobytes(), t.period) for t in chunk}
+                held.append((len(self.folded), len(keys)))
+
+        monkeypatch.setattr(simulate, "Lanes", Counted)
+        simulate_period(tasks, covs=covs)
+        assert held == [(6, 6)]     # task k: beta k % 3, period k % 2
+        monkeypatch.setattr(simulate, "LANE_CAP", 5)
+        held.clear()
+        simulate_period(tasks, covs=covs)
+        assert len(held) == 5
+        assert all(count <= keys for count, keys in held)
+
+
 class TestSimulatePanel:
     """Replicates of a panel simulated as one batch."""
 
@@ -445,3 +500,19 @@ class TestScores:
         assert np.all(np.abs(score.mean(axis=0)) < 4 * se)
         var = score.var(axis=0, ddof=1)
         assert np.all(np.abs(var / np.diagonal(info.mean(axis=0)) - 1) < 0.15)
+
+    @pytest.mark.parametrize("rule", ["forcing", "pairwise-conjunctive"])
+    def test_scores_of_some_tasks(self, rng, rule, monkeypatch):
+        # scores asked per task come back in task order, equal to those of
+        # a batch where every task asks, whatever the chunks hold
+        n = 11
+        covs = kernel_covs(rng, n)
+        tasks = kernel_tasks(rng, n, rule, covs, 10)
+        _, _, _, score, info = simulate_period(tasks, covs=covs, scores=True)
+        asks = np.arange(10) >= 8     # at cap 4, tasks 4-7 ask for none
+        asks[1] = True
+        for cap in (128, 4):
+            monkeypatch.setattr(simulate, "LANE_CAP", cap)
+            *_, some, some_info = simulate_period(tasks, covs=covs, scores=asks)
+            assert some.tobytes() == score[asks].tobytes()
+            assert some_info.tobytes() == info[asks].tobytes()
