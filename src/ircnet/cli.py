@@ -24,6 +24,7 @@ from .simulate import SimulationError
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
+FLAGS = ("seed", "alpha", "outdir", "domain", "threads")  # --key overrides key
 
 VALIDATION_ERRORS = (ConfigError, PanelError, EffectError, ingest.IngestError,
                      bb.BackboneError, fileio.FileFormatError, gof.GofError,
@@ -36,17 +37,17 @@ def _slug(domain: str) -> str:
 
 
 def _outdir(cfg):
-    out = cfg.get("outdir", "out")
+    out = cfg["outdir"]
     os.makedirs(out, exist_ok=True)
     return out
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
-    actors = fileio.read_actor_set(cfg.get("actors", required=True))
-    records = fileio.read_records(cfg.get("records", required=True))
-    dictionary = fileio.read_dictionary(cfg.get("dictionary", required=True))
-    years = cfg.years or sorted({r.year for r in records})
-    domains = [d.strip() for d in cfg.get("domain", "unclassified").split(",")]
+    actors = fileio.read_actor_set(cfg["actors"])
+    records = fileio.read_records(cfg["records"])
+    dictionary = fileio.read_dictionary(cfg["dictionary"])
+    years = cfg["years"] or sorted({r.year for r in records})
+    domains = [d.strip() for d in cfg["domain"].split(",")]
     out = _outdir(cfg)
     meta = cfg.meta()
     for domain in domains:
@@ -66,14 +67,13 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def cmd_backbone(cfg: RunConfig) -> int:
-    actors = fileio.read_actor_set(cfg.get("actors", required=True))
-    alpha = cfg.get_float("alpha", 0.05)
+    actors = fileio.read_actor_set(cfg["actors"])
+    alpha = cfg["alpha"]
     out = _outdir(cfg)
     meta = dict(cfg.meta(), alpha=alpha)
-    domain = cfg.get("domain", "unclassified")
-    slug = _slug(domain)
-    weighted_path = cfg.get("weighted", os.path.join(out, f"weighted_{slug}.csv"))
-    series = fileio.read_weighted_edgelist(weighted_path, actors, cfg.years)
+    slug = _slug(cfg["domain"])
+    weighted_path = cfg["weighted"] or os.path.join(out, f"weighted_{slug}.csv")
+    series = fileio.read_weighted_edgelist(weighted_path, actors, cfg["years"])
     nets, rows = [], []
     scores_by_year = {}
     for wnet in series:
@@ -87,7 +87,7 @@ def cmd_backbone(cfg: RunConfig) -> int:
     bseries = BinaryNetSeries(tuple(nets))
     fileio.write_binary_edgelist(bseries, os.path.join(out, f"backbone_{slug}.csv"),
                                  meta=meta)
-    if cfg.get("alpha_column", "false").lower() in ("true", "1", "yes"):
+    if cfg["alpha_column"]:
         fileio.write_weighted_edgelist(series,
                                        os.path.join(out, f"scored_{slug}.csv"),
                                        meta=meta, scores_by_year=scores_by_year)
@@ -99,30 +99,30 @@ def cmd_backbone(cfg: RunConfig) -> int:
 
 
 def _load_panel(cfg):
-    actors = fileio.read_actor_set(cfg.get("actors", required=True))
+    actors = fileio.read_actor_set(cfg["actors"])
     out = _outdir(cfg)
-    slug = _slug(cfg.get("domain", "unclassified"))
-    panel_path = cfg.get("panel", os.path.join(out, f"backbone_{slug}.csv"))
-    panel = fileio.read_binary_edgelist(panel_path, actors, cfg.years)
+    slug = _slug(cfg["domain"])
+    panel_path = cfg["panel"] or os.path.join(out, f"backbone_{slug}.csv")
+    panel = fileio.read_binary_edgelist(panel_path, actors, cfg["years"])
     covs = CovariateSet()
-    for name, path, transform in cfg.covariate_files("actor_covariates"):
+    for name, path, transform in cfg["actor_covariates"]:
         covs.add(fileio.read_actor_covariate(path, name, actors, panel.years,
                                              transform=transform))
-    for name, path, transform in cfg.covariate_files("dyad_covariates"):
+    for name, path, transform in cfg["dyad_covariates"]:
         covs.add(fileio.read_dyad_matrix(path, name, actors, transform=transform))
     return actors, panel, covs, out, slug
 
 
 def _load_panel_and_model(cfg):
     actors, panel, covs, out, slug = _load_panel(cfg)
-    effects = cfg.effects
+    effects = cfg["effects"]
     for eff in effects:
         if eff.covariate:
             pool = covs.actor if eff.kind != "dyadX" else covs.dyad
             if eff.covariate not in pool:
                 raise ConfigError(f"effect {eff.label}: covariate "
                                   f"{eff.covariate!r} not configured")
-    model = ModelSpec(effects, model_type=cfg.get("model_type", "forcing"))
+    model = ModelSpec(effects, model_type=cfg["model_type"])
     return actors, panel, covs, model, out, slug
 
 
@@ -211,20 +211,15 @@ def build_parser():
     for name, fn in COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("config", help="key=value configuration file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--outdir", default=None)
-        p.add_argument("--domain", default=None)
-        p.add_argument("--threads", type=int, default=None)
+        for key in FLAGS:
+            p.add_argument(f"--{key}", help=f"overrides the config's {key}")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {k: getattr(args, k) for k in
-                 ("seed", "alpha", "outdir", "domain", "threads")}
     try:
-        cfg = RunConfig.load(args.config, overrides)
+        cfg = RunConfig.load(args.config, {k: getattr(args, k) for k in FLAGS})
         return COMMANDS[args.command](cfg)
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

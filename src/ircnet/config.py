@@ -1,154 +1,158 @@
 """Run configuration: plain-text key=value files, CLI overrides, hashing.
 
-Example:
-
-    actors = fixtures/actors.txt
-    records = fixtures/records.jsonl
-    dictionary = fixtures/dictionary.tsv
-    years = 1993-2022
-    domain = S&T
-    alpha = 0.05
-    effects = density, gwesp, degPlus, egoPlusAltX:acfree, simX:acfree
-    actor_covariates = acfree:fixtures/acfree.csv, gdp:fixtures/gdp.csv:log1p
-    dyad_covariates = dist:fixtures/dist.csv:log1p
-    seed = 42
-    outdir = out
+`KEYS` lists every key with its parser and default; README's "Config keys"
+shows them all. A key that `KEYS` does not list is an error naming
+`path:line`, and a key repeated in a file takes its last value. `cfg["key"]`
+parses a value when a command reads it, so a command fails only on the keys
+it uses.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .effects import EffectSpec
 from .estimate import EstimationOptions, OptionRangeError
-
-
-# Keys that do not change any output, so they stay out of the config hash.
-NO_EFFECT_KEYS = frozenset({"threads"})
 
 
 class ConfigError(ValueError):
     pass
 
 
+REQUIRED = object()   # default of a key that has none
+
+
+def _seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise ValueError("a seed must be >= 0")
+    return seed
+
+
+def _flag(text):
+    if text.lower() not in ("true", "false", "1", "0", "yes", "no"):
+        raise ValueError("expected true/false, 1/0 or yes/no")
+    return text.lower() in ("true", "1", "yes")
+
+
+def _years(text):
+    """'lo-hi' (inclusive) or a comma list."""
+    if "-" in text:
+        lo, hi = text.split("-")
+        years = list(range(int(lo), int(hi) + 1))
+    else:
+        years = [int(y) for y in text.split(",")]
+    if not years:
+        raise ValueError("the range holds no year")
+    return years
+
+
+def _effects(text):
+    """'kind' or 'kind:covariate' items."""
+    out = []
+    for item in filter(None, map(str.strip, text.split(","))):
+        kind, _, cov = item.partition(":")
+        out.append(EffectSpec(kind.strip(), cov.strip() or None))
+    return tuple(out)
+
+
+def _covariates(text):
+    """'name:path' or 'name:path:transform' items, as (name, path, transform)."""
+    out = []
+    for item in filter(None, map(str.strip, text.split(","))):
+        parts = item.split(":")
+        if len(parts) not in (2, 3):
+            raise ValueError(f"bad covariate entry {item!r}")
+        out.append(tuple(parts) if len(parts) == 3 else (*parts, "none"))
+    return tuple(out)
+
+
+# key -> (parser of the value text, default when the key is absent). None for
+# `weighted` and `panel`: the command's own file in `outdir`.
+KEYS = {
+    "actors": (str, REQUIRED),
+    "records": (str, REQUIRED),
+    "dictionary": (str, REQUIRED),
+    "years": (_years, None),                   # None: the records' years
+    "domain": (str, "unclassified"),
+    "alpha": (float, 0.05),
+    "alpha_column": (_flag, False),
+    "weighted": (str, None),
+    "panel": (str, None),
+    "outdir": (str, "out"),
+    "effects": (_effects, (EffectSpec("density"),)),
+    "actor_covariates": (_covariates, ()),
+    "dyad_covariates": (_covariates, ()),
+    "model_type": (str, "forcing"),
+    "seed": (_seed, EstimationOptions.seed),
+    "threads": (int, 1),
+    "n1": (int, EstimationOptions.n1),
+    "subphases": (int, EstimationOptions.subphases),
+    "n3": (int, EstimationOptions.n3),
+    "initial_gain": (float, EstimationOptions.initial_gain),
+    "t_max": (float, EstimationOptions.t_max),
+    "derivative_step": (float, EstimationOptions.derivative_step),
+    "max_subphase_iter": (int, EstimationOptions.max_subphase_iter),
+}
+
+
+def _parse(key, text):
+    try:
+        return KEYS[key][0](text)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: {text!r} is not valid "
+                          f"({exc})") from None
+
+
 @dataclass
 class RunConfig:
-    values: dict = field(default_factory=dict)
-    text: str = ""
+    values: dict = field(default_factory=dict)   # key -> raw value text
 
     @classmethod
     def load(cls, path, overrides=None):
+        cfg = cls()
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        cfg = cls(text=text)
-        for lineno, ln in enumerate(text.splitlines(), 1):
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            if "=" not in ln:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, "
-                                  f"got {ln!r}")
-            key, val = ln.split("=", 1)
-            cfg.values[key.strip()] = val.strip()
+            for lineno, ln in enumerate(fh, 1):
+                ln = ln.strip()
+                if not ln or ln.startswith("#"):
+                    continue
+                if "=" not in ln:
+                    raise ConfigError(f"{path}:{lineno}: expected key = value, "
+                                      f"got {ln!r}")
+                key, val = (s.strip() for s in ln.split("=", 1))
+                if key not in KEYS:
+                    raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+                cfg.values[key] = val
+        # a flag's value is hashed in its parsed form: `--seed 07` as 7
         for key, val in (overrides or {}).items():
             if val is not None:
-                cfg.values[key] = str(val)
+                cfg.values[key] = str(_parse(key, val))
         return cfg
 
-    def get(self, key, default=None, required=False):
+    def __getitem__(self, key):
         if key in self.values:
-            return self.values[key]
-        if required:
+            return _parse(key, self.values[key])
+        default = KEYS[key][1]
+        if default is REQUIRED:
             raise ConfigError(f"missing required config key {key!r}")
         return default
 
-    def _cast(self, key, cast, default):
-        v = self.get(key)
-        if v is None:
-            return default
-        try:
-            return cast(v)
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: {v!r} is not a valid "
-                              f"{cast.__name__}") from None
-
-    def get_int(self, key, default=None):
-        return self._cast(key, int, default)
-
-    def get_float(self, key, default=None):
-        return self._cast(key, float, default)
-
-    @property
-    def years(self) -> list:
-        spec = self.get("years")
-        if spec is None:
-            return None
-        try:
-            if "-" in spec:
-                lo, hi = spec.split("-")
-                return list(range(int(lo), int(hi) + 1))
-            return [int(y) for y in spec.split(",")]
-        except ValueError:
-            raise ConfigError(f"config key 'years': {spec!r} is not a year "
-                              "range or list") from None
-
-    @property
-    def effects(self) -> tuple:
-        spec = self.get("effects", "density")
-        out = []
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if ":" in item:
-                kind, cov = item.split(":", 1)
-                out.append(EffectSpec(kind.strip(), cov.strip()))
-            else:
-                out.append(EffectSpec(item))
-        return tuple(out)
-
-    def covariate_files(self, key):
-        """Parse 'name:path' or 'name:path:log1p' items."""
-        out = []
-        for item in (self.get(key, "") or "").split(","):
-            item = item.strip()
-            if not item:
-                continue
-            parts = item.split(":")
-            if len(parts) == 2:
-                out.append((parts[0], parts[1], "none"))
-            elif len(parts) == 3:
-                out.append((parts[0], parts[1], parts[2]))
-            else:
-                raise ConfigError(f"bad covariate entry {item!r} in {key}")
-        return out
-
     def estimation_options(self) -> EstimationOptions:
-        kwargs = {}
-        for key, cast in (("n1", int), ("subphases", int), ("n3", int),
-                          ("initial_gain", float), ("t_max", float),
-                          ("seed", int), ("derivative_step", float),
-                          ("max_subphase_iter", int)):
-            v = self._cast(key, cast, None)
-            if v is not None:
-                kwargs[key] = v
-        kwargs.setdefault("seed", 0)
         try:
-            return EstimationOptions(**kwargs)
+            return EstimationOptions(**{f.name: self[f.name]
+                                        for f in fields(EstimationOptions)
+                                        if f.name in KEYS})
         except OptionRangeError as exc:
-            raise ConfigError(f"config key {exc.key!r}: {self.get(exc.key)!r} "
-                              f"is out of range ({exc})") from None
-
-    @property
-    def seed(self) -> int:
-        return self.get_int("seed", 0)
+            raise ConfigError(f"config key {exc.key!r}: "
+                              f"{self.values.get(exc.key)!r} is out of range "
+                              f"({exc})") from None
 
     def hash(self) -> str:
-        """Hash of the settings that can change outputs (not `threads`)."""
+        """Hash of the value texts of all keys but `threads` (changes no output)."""
         canon = "\n".join(f"{k}={v}" for k, v in sorted(self.values.items())
-                          if k not in NO_EFFECT_KEYS)
+                          if k != "threads")
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
     def meta(self) -> dict:
-        return {"config_hash": self.hash(), "seed": self.seed}
+        return {"config_hash": self.hash(), "seed": self["seed"]}

@@ -99,11 +99,11 @@ def mahalanobis_test(observed: np.ndarray, simulated: np.ndarray):
 def gof_test(result, final_wave: BinaryNetwork, kind: str,
              max_k: int = None) -> AuxiliaryStat:
     """Compare an observed auxiliary on the final wave to the phase-3 draws."""
-    draws = result.draws_final_networks
-    if draws is None or len(draws) < MIN_DRAWS:
+    draws = result.draws_final_networks or []
+    if len(draws) < MIN_DRAWS:
         raise GofError(
-            f"need at least {MIN_DRAWS} retained phase-3 draws; rerun the "
-            "estimation with draw retention enabled")
+            f"found {len(draws)} retained phase-3 draws, need at least "
+            f"{MIN_DRAWS}: rerun the estimation with n3 >= {MIN_DRAWS}")
     if max_k is None:
         all_deg = [degree_sequence(final_wave).max()] + \
             [degree_sequence(d).max() for d in draws]

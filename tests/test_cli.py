@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 
 from ircnet.backbone import disparity_scores
 from ircnet.cli import main
+from ircnet.config import KEYS
 from ircnet.estimate import EstimationResult
 from ircnet.fileio import (import_graphml, read_actor_set,
                            read_binary_edgelist, read_result_json,
@@ -65,6 +67,12 @@ n3 = 40
 {extra}
 """)
     return path
+
+
+# A fit that ends in seconds on the fixtures; its keys override
+# write_config's, since a repeated key takes its last value.
+FAST_FIT = ("n1 = 4\nn3 = 20\nsubphases = 1\nmax_subphase_iter = 5\n"
+            "t_max = inf\n")
 
 
 def read_bytes(path):
@@ -264,6 +272,16 @@ class TestEstimateAndGof:
         assert main(["backbone", cfg]) == 0
         assert main(["gof", cfg]) == 1
 
+    def test_gof_with_too_few_draws_names_n3(self, tmp_path, capsys):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(5))
+        cfg = write_config(root, extra=FAST_FIT + "n3 = 5\n")
+        for command in ("ingest", "backbone", "estimate"):
+            assert main([command, cfg]) == 0
+        assert main(["gof", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "found 5 retained phase-3 draws" in err and "n3 >= 20" in err
+
     def test_rerun_is_byte_identical(self, tmp_path):
         root = str(tmp_path)
         write_fixtures(root, random_records(2))
@@ -284,16 +302,16 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestTracer:
-    """`bench/tracer.py` wraps the public functions of every ircnet module
-    and reads some call arguments: `args[4].n1` of `phase1_derivative`,
-    `args[0].draws_final_networks` of `gof_test`. A traced command must
-    still run and record those spans."""
+    """`bench/tracer.py` wraps the public functions of every ircnet module,
+    and the methods `RunConfig.load`, `RunConfig.estimation_options` and
+    `RunConfig.meta` by name. It reads some call arguments: `args[4].n1` of
+    `phase1_derivative`, `args[0].draws_final_networks` of `gof_test`. A
+    traced command must still run and record those spans."""
 
     def test_traced_estimate_and_gof(self, tmp_path):
         root = str(tmp_path)
         write_fixtures(root, random_records(5))
-        cfg = write_config(root, extra="n1 = 4\nn3 = 20\nsubphases = 1\n"
-                                       "max_subphase_iter = 5\nt_max = inf\n")
+        cfg = write_config(root, extra=FAST_FIT)
         assert main(["ingest", cfg]) == 0
         assert main(["backbone", cfg]) == 0
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -309,7 +327,8 @@ class TestTracer:
             assert done.returncode == 0, done.stderr
             with open(dump) as fh:
                 spans = json.load(fh)["spans"]
-            assert span in {name for name, *_ in spans}
+            names = {name for name, *_ in spans}
+            assert {span, "config.RunConfig.load"} <= names
 
 
 class TestResultFile:
@@ -446,11 +465,58 @@ class TestExitCodes:
         root = str(tmp_path)
         write_fixtures(root, random_records(14))
         cfg = write_config(root)
-        with open(cfg, "a") as fh:
+        with open(cfg, "a") as fh:   # a repeated key takes its last value
             fh.write("years = 2020-x\n")
         assert main(["ingest", cfg]) == 1
         err = capsys.readouterr().err
         assert "'years'" in err and "'2020-x'" in err
+
+    @pytest.mark.parametrize("command", ["ingest", "backbone"])
+    def test_empty_year_range(self, tmp_path, capsys, command):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(18))
+        cfg = write_config(root, extra="years = 2002-2000\n")
+        assert main([command, cfg]) == 1
+        err = capsys.readouterr().err
+        assert "'years'" in err and "'2002-2000'" in err
+
+    @pytest.mark.parametrize("key", ["n_1", "min_subphase_iter"])
+    def test_unknown_key(self, tmp_path, capsys, key):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(15))
+        cfg = write_config(root, extra=f"{key} = 5\n")
+        assert main(["ingest", cfg]) == 1
+        err = capsys.readouterr().err
+        # write_config's 11 lines come first
+        assert f"{cfg}:12: unknown config key {key!r}" in err
+
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_negative_seed(self, tmp_path, capsys, where):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(16))
+        if where == "file":
+            argv = [write_config(root, extra="seed = -1\n")]
+        else:
+            argv = [write_config(root), "--seed", "-1"]
+        assert main(["ingest"] + argv) == 1
+        err = capsys.readouterr().err
+        assert "'seed'" in err and "'-1'" in err
+
+    def test_alpha_column_not_a_flag(self, tmp_path, capsys):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(17))
+        cfg = write_config(root, extra="alpha_column = maybe\n")
+        assert main(["ingest", cfg]) == 0
+        assert main(["backbone", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "'alpha_column'" in err and "'maybe'" in err
+
+    def test_readme_lists_every_config_key(self):
+        with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        section = readme.split("### Config keys")[1].split("\n## ")[0]
+        rows = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+        assert sorted(rows) == sorted(KEYS)
 
     def test_unknown_actor_in_edge_list(self, tmp_path, capsys):
         root = str(tmp_path)
