@@ -30,6 +30,13 @@ def _seed(text):
     return seed
 
 
+def _threads(text):
+    threads = int(text)
+    if threads < 1:
+        raise ValueError("a thread count must be >= 1")
+    return threads
+
+
 def _flag(text):
     if text.lower() not in ("true", "false", "1", "0", "yes", "no"):
         raise ValueError("expected true/false, 1/0 or yes/no")
@@ -86,7 +93,7 @@ KEYS = {
     "dyad_covariates": (_covariates, ()),
     "model_type": (str, "forcing"),
     "seed": (_seed, EstimationOptions.seed),
-    "threads": (int, 1),
+    "threads": (_threads, 1),
     "n1": (int, EstimationOptions.n1),
     "subphases": (int, EstimationOptions.subphases),
     "n3": (int, EstimationOptions.n3),

@@ -93,7 +93,7 @@ def expand_pairs(record: ArticleRecord, dictionary: DisambiguationDictionary,
         if actors is not None and code not in actors:
             continue
         codes.add(code)
-    return {tuple(sorted(pair)) for pair in itertools.combinations(sorted(codes), 2)}
+    return set(itertools.combinations(sorted(codes), 2))   # each pair sorted
 
 
 @dataclass
@@ -107,18 +107,18 @@ def aggregate(records, dictionary: DisambiguationDictionary, actors: ActorSet,
               report: AggregationReport = None) -> WeightedNetwork:
     """Sum pair counts over records matching (year, domain)."""
     n = actors.n
-    w = np.zeros((n, n), dtype=np.int64)
     report = report if report is not None else AggregationReport()
+    cells = []   # i * n + j of each pair, counted in one pass below
     for rec in records:
         report.records_seen += 1
         if rec.year != year or (domain is not None and domain not in rec.domains):
             continue
         report.records_used += 1
-        for a, b in expand_pairs(rec, dictionary, actors):
-            i, j = actors.index(a), actors.index(b)
-            w[i, j] += 1
-            w[j, i] += 1
-    return WeightedNetwork(actors, year, w)
+        cells.extend(actors.index(a) * n + actors.index(b)
+                     for a, b in expand_pairs(rec, dictionary, actors))
+    counts = np.bincount(np.array(cells, dtype=np.int64),
+                         minlength=n * n).reshape(n, n)
+    return WeightedNetwork(actors, year, counts + counts.T)
 
 
 def aggregate_series(records, dictionary, actors, years, domain=None):

@@ -1,9 +1,11 @@
 import csv
 import dataclasses
+import gc
 import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -301,6 +303,15 @@ class TestEstimateAndGof:
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def run_python(*args):
+    """A fresh interpreter that imports ircnet from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (os.path.join(REPO, "src"),
+                      os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 class TestTracer:
     """`bench/tracer.py` wraps the public functions of every ircnet module,
     and the methods `RunConfig.load`, `RunConfig.estimation_options` and
@@ -314,21 +325,80 @@ class TestTracer:
         cfg = write_config(root, extra=FAST_FIT)
         assert main(["ingest", cfg]) == 0
         assert main(["backbone", cfg]) == 0
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (os.path.join(REPO, "src"),
-                          os.environ.get("PYTHONPATH")))))
         for command, span in (("estimate", "estimate.phase1_derivative"),
                               ("gof", "gof.gof_test")):
             dump = os.path.join(root, f"{command}.json")
-            done = subprocess.run(
-                [sys.executable, os.path.join(REPO, "bench", "tracer.py"),
-                 dump, command, cfg], env=env, capture_output=True, text=True,
-                timeout=300)
+            done = run_python(os.path.join(REPO, "bench", "tracer.py"),
+                              dump, command, cfg)
             assert done.returncode == 0, done.stderr
             with open(dump) as fh:
                 spans = json.load(fh)["spans"]
             names = {name for name, *_ in spans}
             assert {span, "config.RunConfig.load"} <= names
+
+
+class TestProgramEntry:
+    """`python -m ircnet.cli` and the `ircnet` script enter `cli.run`,
+    which freezes the heap before `main`; in-process `main` calls do not."""
+
+    def test_module_entry(self, tmp_path):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(19))
+        cfg = write_config(root)
+        out = os.path.join(root, "out")
+        assert main(["ingest", cfg]) == 0
+        want = {name: read_bytes(os.path.join(out, name))
+                for name in os.listdir(out)}
+        shutil.rmtree(out)
+        done = run_python("-m", "ircnet.cli", "ingest", cfg)
+        assert done.returncode == 0, done.stderr
+        assert {name: read_bytes(os.path.join(out, name))
+                for name in os.listdir(out)} == want
+        cfg = write_config(root, extra="n_1 = 5\n")
+        done = run_python("-m", "ircnet.cli", "ingest", cfg)
+        assert done.returncode == 1
+        assert f"{cfg}:12: unknown config key 'n_1'" in done.stderr
+
+    def test_entry_freezes(self, tmp_path):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(20))
+        cfg = write_config(root)
+        done = run_python("-c", f"""\
+import gc, sys
+from ircnet.cli import run
+sys.argv = ["ircnet", "ingest", {cfg!r}]
+try:
+    run()
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count())
+""")
+        assert done.returncode == 0, done.stderr
+        code, frozen = done.stdout.splitlines()[-1].split()
+        assert code == "0" and int(frozen) > 0
+
+    def test_main_does_not_freeze(self, tmp_path):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(20))
+        cfg = write_config(root)
+        frozen = gc.get_freeze_count()
+        assert main(["ingest", cfg]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("before,after", [
+        ("", "True"), ("gc.disable()", "False"),
+        ("sys.modules['numpy'] = None", "ImportError True")])
+    def test_import_keeps_gc_state(self, before, after):
+        # `import ircnet` pauses the collector while it loads its modules
+        done = run_python("-c", f"""\
+import gc, sys
+{before}
+try:
+    import ircnet
+except ImportError:
+    print("ImportError", end=" ")
+print(gc.isenabled())
+""")
+        assert done.stdout.strip() == after, done.stderr
 
 
 class TestResultFile:
@@ -501,6 +571,16 @@ class TestExitCodes:
         assert main(["ingest"] + argv) == 1
         err = capsys.readouterr().err
         assert "'seed'" in err and "'-1'" in err
+
+    @pytest.mark.parametrize("value", ["x", "0"])
+    def test_bad_threads_in_file(self, tmp_path, capsys, value):
+        # no command reads `threads` yet, but every one checks it
+        root = str(tmp_path)
+        write_fixtures(root, random_records(17))
+        cfg = write_config(root, extra=f"threads = {value}\n")
+        assert main(["ingest", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "'threads'" in err and repr(value) in err
 
     def test_alpha_column_not_a_flag(self, tmp_path, capsys):
         root = str(tmp_path)

@@ -103,6 +103,7 @@ class TestAggregate:
     def test_empty_stream(self):
         net = aggregate([], DICT, ACTORS, 2000)
         assert net.w.sum() == 0
+        assert net.w.dtype == np.int64 and net.w.shape == (ACTORS.n, ACTORS.n)
 
     def test_fixture_matches_brute_force(self):
         records = fixture_records()
