@@ -11,6 +11,7 @@ import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -114,19 +115,6 @@ def _load_panel(cfg):
     return actors, panel, covs, out, slug
 
 
-def _load_panel_and_model(cfg):
-    actors, panel, covs, out, slug = _load_panel(cfg)
-    effects = cfg["effects"]
-    for eff in effects:
-        if eff.covariate:
-            pool = covs.actor if eff.kind != "dyadX" else covs.dyad
-            if eff.covariate not in pool:
-                raise ConfigError(f"effect {eff.label}: covariate "
-                                  f"{eff.covariate!r} not configured")
-    model = ModelSpec(effects, model_type=cfg["model_type"])
-    return actors, panel, covs, model, out, slug
-
-
 def _report_lines(result):
     lines = ["Parameter                        Estimate", "-" * 48]
     for label, b, se, p, star in p_values(result):
@@ -139,7 +127,8 @@ def _report_lines(result):
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    actors, panel, covs, model, out, slug = _load_panel_and_model(cfg)
+    _, panel, covs, out, slug = _load_panel(cfg)
+    model = ModelSpec(cfg["effects"], model_type=cfg["model_type"])
     options = cfg.estimation_options()
     result = run_estimation(panel, model, covs, options)
     meta = cfg.meta()
@@ -166,12 +155,13 @@ def cmd_gof(cfg: RunConfig) -> int:
         raise gof.GofError(
             "no retained draws found; rerun the estimate command (draw "
             f"retention writes {os.path.basename(finals_path)})")
-    result = fileio.read_result_json(os.path.join(out, f"result_{slug}.json"))
-    result.draws_final_networks = fileio.read_draws(finals_path, actors)
+    # gof_test reads only the draws of a result
+    draws = SimpleNamespace(
+        draws_final_networks=fileio.read_draws(finals_path, actors))
     meta = cfg.meta()
     final_wave = panel.wave(panel.n_waves - 1)
     for kind in gof.AUX_KINDS:
-        aux = gof.gof_test(result, final_wave, kind)
+        aux = gof.gof_test(draws, final_wave, kind)
         rows = [(lbl, f"{o:.10g}", f"{a:.10g}", f"{b:.10g}", f"{c:.10g}")
                 for lbl, o, a, b, c in zip(aux.labels, aux.observed, aux.q05,
                                            aux.q50, aux.q95)]

@@ -51,9 +51,7 @@ class SingularDerivativeError(EstimationError):
 
 
 class DivergenceError(EstimationError):
-    def __init__(self, message, trace):
-        super().__init__(message)
-        self.trace = trace
+    """The parameter vector left the DIVERGENCE_NORM ball in phase 2."""
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,7 @@ class EstimationOptions:
     subphases: int = 4
     n3: int = 1000               # phase-3 simulations
     initial_gain: float = 0.2
-    t_max: float = 0.25          # convergence-ratio threshold for reporting
+    t_max: float = 0.25          # rerun phases 1-3 while conv_ratio exceeds it
     seed: int = 0
     derivative_step: float = 0.1
     max_subphase_iter: int = None   # default 200 + 10 * n_parameters
@@ -117,13 +115,9 @@ class EstimationResult:
         return self.se[self.n_rates:]
 
 
-def _split(theta, n_periods):
-    return theta[:n_periods], theta[n_periods:]
-
-
 def _with_theta(model: ModelSpec, theta, n_periods) -> ModelSpec:
-    rates, beta = _split(theta, n_periods)
-    return replace(model, rates=np.maximum(rates, RATE_FLOOR), beta=beta)
+    return replace(model, rates=np.maximum(theta[:n_periods], RATE_FLOOR),
+                   beta=theta[n_periods:])
 
 
 def observed_targets(panel: BinaryNetSeries, model: ModelSpec,
@@ -274,7 +268,6 @@ def phase2_update(theta, deriv, panel, model, covs, options: EstimationOptions,
     theta = np.asarray(theta, dtype=float).copy()
     gain = options.initial_gain
     total_iter = 0
-    trace = []
     for sub in range(options.subphases):
         prev_dev = None
         cross_sum = 0.0
@@ -289,11 +282,9 @@ def phase2_update(theta, deriv, panel, model, covs, options: EstimationOptions,
             theta = theta - gain * (d_inv @ dev)
             theta[:n_periods] = np.maximum(theta[:n_periods], RATE_FLOOR)
             thetas.append(theta.copy())
-            trace.append(theta.copy())
             total_iter += 1
             if np.linalg.norm(theta) > DIVERGENCE_NORM:
-                raise DivergenceError("parameter vector diverged in phase 2",
-                                      np.array(trace))
+                raise DivergenceError("parameter vector diverged in phase 2")
             if prev_dev is not None:
                 cross_sum += float(dev @ prev_dev)
                 if it + 1 >= options.min_subphase_iter and cross_sum / it < 0:
@@ -357,58 +348,56 @@ def phase3_finalize(theta_hat, panel, model, covs, options: EstimationOptions,
     )
 
 
-def estimate(panel: BinaryNetSeries, model: ModelSpec, covs: CovariateSet = None,
-             options: EstimationOptions = None) -> EstimationResult:
-    """Full three-phase estimation from default starting values."""
-    options = options or EstimationOptions()
-    covs = covs or CovariateSet()
-    rng1, rng2, rng3 = (np.random.default_rng(s)
-                        for s in np.random.SeedSequence(options.seed).spawn(3))
-    theta0 = initialize(panel, model, covs)
-    starts = start_states(panel)
-    n_periods = panel.n_waves - 1
+def _fit(theta, panel, model, covs, options: EstimationOptions, rngs, starts,
+         iterations=0, check=False) -> EstimationResult:
+    """Phases 1-3 from `theta`; the result's iterations include `iterations`.
 
-    # phase 1's batch also runs phase 2's first iteration, which is at the
-    # same theta; a retry runs the same tasks again, so rng2 is drawn once
-    first = panel_tasks(panel, _with_theta(model, theta0, n_periods), rng2,
-                        starts)
+    Phase 1's batch also runs phase 2's first iteration, which is at the
+    same theta. With `check`, a singular derivative is retried at 2 and 4
+    times n1 on the same first-iteration tasks, so rng2 is drawn once."""
+    rng1, rng2, rng3 = rngs
+    first = panel_tasks(panel, _with_theta(model, theta, panel.n_waves - 1),
+                        rng2, starts)
     for attempt in range(3):
         try:
             # noise can make a small-n1 derivative estimate singular;
             # retry with more replicates before giving up on the model
             opts1 = replace(options, n1=options.n1 * 2 ** attempt)
-            deriv, drawn = phase1_derivative(theta0, panel, model, covs, opts1,
-                                             rng1, True, starts, first)
+            deriv, drawn = phase1_derivative(theta, panel, model, covs, opts1,
+                                             rng1, check, starts, first)
             break
         except SingularDerivativeError:
             if attempt == 2:
                 raise
     stats = panel_results(panel, *drawn)[0][0]
-    theta_hat, iters = phase2_update(theta0, deriv, panel, model, covs, options,
+    theta_hat, iters = phase2_update(theta, deriv, panel, model, covs, options,
                                      rng2, starts, stats)
-    result = phase3_finalize(theta_hat, panel, model, covs, options, rng3,
-                             iterations=iters, starts=starts)
-    # if the deviations have not levelled off, restart phase 2 from the
-    # current estimate (the usual remedy for an unconverged run)
+    return phase3_finalize(theta_hat, panel, model, covs, options, rng3,
+                           iterations + iters, starts)
+
+
+def estimate(panel: BinaryNetSeries, model: ModelSpec, covs: CovariateSet = None,
+             options: EstimationOptions = None) -> EstimationResult:
+    """Full three-phase estimation from default starting values. While the
+    convergence ratio exceeds `t_max`, phases 1-3 rerun from the estimate,
+    at most RESTARTS times; a rerun is kept only if its ratio is lower."""
+    options = options or EstimationOptions()
+    covs = covs or CovariateSet()
+    rngs = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(options.seed).spawn(3)]
+    theta0 = initialize(panel, model, covs)
+    starts = start_states(panel)
+    result = _fit(theta0, panel, model, covs, options, rngs, starts, check=True)
     for _ in range(RESTARTS):
         if result.conv_ratio <= options.t_max:
             break
         try:
-            first = panel_tasks(panel, _with_theta(model, result.theta,
-                                                   n_periods), rng2, starts)
-            deriv, drawn = phase1_derivative(result.theta, panel, model, covs,
-                                             options, rng1, False, starts, first)
-            stats = panel_results(panel, *drawn)[0][0]
-            theta_hat, more = phase2_update(result.theta, deriv, panel, model,
-                                            covs, options, rng2, starts, stats)
-            candidate = phase3_finalize(theta_hat, panel, model, covs, options,
-                                        rng3, iterations=iters + more,
-                                        starts=starts)
+            candidate = _fit(result.theta, panel, model, covs, options, rngs,
+                             starts, result.iterations)
         except DivergenceError:
             break
         if candidate.conv_ratio >= result.conv_ratio:
             break
-        iters += more
         result = candidate
     return result
 

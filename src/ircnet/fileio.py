@@ -13,7 +13,6 @@ import json
 import numpy as np
 import networkx as nx
 
-from .estimate import EstimationResult
 from .ingest import ArticleRecord, DisambiguationDictionary
 from .panel import (ActorSet, BinaryNetwork, BinaryNetSeries, DyadCovariate,
                     ActorCovariate, WeightedNetwork, WeightedNetSeries)
@@ -265,18 +264,6 @@ def write_result_json(result, path, meta=None):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_result_json(path) -> EstimationResult:
-    """The result `write_result_json` wrote, without draws."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            stored = json.load(fh)
-        fields = {k: np.array(stored[k]) for k in _RESULT_ARRAYS}
-        fields.update((k, stored[k]) for k in _RESULT_VALUES)
-    except (ValueError, KeyError) as exc:
-        raise FileFormatError(f"{path}: not an estimation result ({exc!r})") from None
-    return EstimationResult(**fields)
 
 
 def write_draws(result, stats_path, finals_path):

@@ -176,6 +176,7 @@ def test_criterion_4_change_statistic_oracle(rng):
     report(4, "incremental change statistics vs full recomputation", ok)
 
 
+@pytest.mark.slow
 def test_criterion_5_stationarity_oracle():
     ok = True
     for beta in (-1.0, 0.0, 0.5):
@@ -200,6 +201,7 @@ def recovery_model(n_periods):
                      beta=np.array([-2.0, 0.5, 0.8]))
 
 
+@pytest.mark.slow
 def test_criterion_6_parameter_recovery():
     n, waves = 30, 4
     truth = np.array([-2.0, 0.5, 0.8])
@@ -280,6 +282,7 @@ def test_criterion_8_ingest_example(rng):
     report(8, "ingest pair expansion and order-independent aggregation", ok)
 
 
+@pytest.mark.slow
 def test_criterion_9_cli_determinism(tmp_path):
     root = str(tmp_path)
     write_fixtures(root, random_records(9))

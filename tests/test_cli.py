@@ -15,10 +15,10 @@ import pytest
 from ircnet.backbone import disparity_scores
 from ircnet.cli import main
 from ircnet.config import KEYS
-from ircnet.estimate import EstimationResult
+from ircnet.estimate import DivergenceError, EstimationResult
 from ircnet.fileio import (import_graphml, read_actor_set,
-                           read_binary_edgelist, read_result_json,
-                           read_weighted_edgelist, write_result_json)
+                           read_binary_edgelist, read_weighted_edgelist,
+                           write_result_json)
 
 ACTORS = ("CHN", "DEU", "FRA", "JPN", "NLD", "USA")
 NAMES = {"CHN": "Peoples R China", "DEU": "Germany", "FRA": "France",
@@ -284,6 +284,22 @@ class TestEstimateAndGof:
         err = capsys.readouterr().err
         assert "found 5 retained phase-3 draws" in err and "n3 >= 20" in err
 
+    def test_gof_reads_no_result_file(self, tmp_path):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(5))
+        cfg = write_config(root, extra=FAST_FIT)
+        for command in ("ingest", "backbone", "estimate", "gof"):
+            assert main([command, cfg]) == 0
+        out = os.path.join(root, "out")
+        tables = [os.path.join(out, f"gof_{kind}_ST.csv")
+                  for kind in ("degree_distribution", "triad_census")]
+        want = [read_bytes(path) for path in tables]
+        for path in tables + [os.path.join(out, "result_ST.json")]:
+            os.remove(path)
+        assert main(["gof", cfg]) == 0
+        assert [read_bytes(path) for path in tables] == want
+
+    @pytest.mark.slow
     def test_rerun_is_byte_identical(self, tmp_path):
         root = str(tmp_path)
         write_fixtures(root, random_records(2))
@@ -403,7 +419,8 @@ print(gc.isenabled())
 
 class TestResultFile:
     def test_round_trip(self, tmp_path):
-        # every field but the draws, which go to .npy files
+        # every field but the draws, which go to .npy files, as json.load
+        # reads it; no ircnet command reads the file back
         rng = np.random.default_rng(3)
         res = EstimationResult(
             theta=rng.normal(size=3), se=rng.random(3),
@@ -416,12 +433,17 @@ class TestResultFile:
             targets=rng.normal(size=3))
         path = tmp_path / "result.json"
         write_result_json(res, path, meta={"seed": 7})
-        back = read_result_json(path)
-        for f in dataclasses.fields(EstimationResult):
-            if f.name.startswith("draws_"):
-                continue
-            want, got = getattr(res, f.name), getattr(back, f.name)
+        with open(path, encoding="utf-8") as fh:
+            back = json.load(fh)
+        assert back.pop("meta") == {"seed": "7"}
+        names = [f.name for f in dataclasses.fields(EstimationResult)
+                 if not f.name.startswith("draws_")]
+        assert sorted(back) == sorted(names)
+        assert back["tratios"][1] == -np.inf
+        for name in names:
+            want, got = getattr(res, name), back[name]
             if isinstance(want, np.ndarray):
+                got = np.array(got)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
             else:
                 assert type(got) is type(want) and got == want
@@ -495,6 +517,42 @@ class TestExitCodes:
         assert main(["ingest", cfg]) == 0
         assert main(["backbone", cfg]) == 0
         assert main(["estimate", cfg]) == 1
+
+    @pytest.mark.parametrize("effect,name", [
+        ("egoPlusAltX:nope", "'nope'"),
+        ("dyadX:ac", "'ac'"),       # an actor covariate
+    ])
+    def test_effect_covariate_not_configured(self, tmp_path, capsys, effect,
+                                             name):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(8))
+        ac = tmp_path / "ac.csv"
+        ac.write_text("iso3,year,value\n" + "".join(
+            f"{code},{year},{k}\n" for k, code in enumerate(ACTORS)
+            for year in YEARS))
+        extra = (FAST_FIT + f"effects = density, {effect}\n"
+                 f"actor_covariates = ac:{ac}\n")
+        cfg = write_config(root, extra=extra)
+        assert main(["ingest", cfg]) == 0
+        assert main(["backbone", cfg]) == 0
+        assert main(["estimate", cfg]) == 1
+        assert name in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(root, "out", "result_ST.json"))
+
+    def test_divergence_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise DivergenceError("parameter vector diverged in phase 2")
+
+        monkeypatch.setattr(sys.modules["ircnet.estimate"], "phase2_update",
+                            diverge)
+        root = str(tmp_path)
+        write_fixtures(root, random_records(8))
+        cfg = write_config(root, extra=FAST_FIT)
+        assert main(["ingest", cfg]) == 0
+        assert main(["backbone", cfg]) == 0
+        assert main(["estimate", cfg]) == 2
+        assert "diverged in phase 2" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(root, "out", "result_ST.json"))
 
     def test_malformed_config_line(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -6,8 +6,9 @@ import pytest
 
 from conftest import actor_set, random_graph
 from ircnet.effects import EffectSpec, ModelSpec
-from ircnet.estimate import (EstimationError, EstimationOptions,
-                             EstimationResult, OptionRangeError,
+from ircnet.estimate import (DivergenceError, EstimationError,
+                             EstimationOptions, EstimationResult,
+                             OptionRangeError,
                              SingularDerivativeError,
                              estimate, initialize,
                              observed_targets, p_value, p_values,
@@ -316,6 +317,44 @@ class TestBatchMerges:
         assert [f.x.tobytes() for f in got.draws_final_networks] == \
             [f.x.tobytes() for f in finals]
         assert got.derivative.tobytes() == deriv.tobytes()
+
+
+class TestRestarts:
+    """A restart is another pass of phases 1-3 from the estimate: one that
+    diverges keeps the last result, while a divergence in the first pass
+    reaches the caller."""
+
+    OPTIONS = EstimationOptions(n1=16, n3=12, seed=4, subphases=2,
+                                max_subphase_iter=6)
+
+    def diverge_at(self, monkeypatch, call):
+        """Make the `call`-th phase-2 run raise; returns the list of runs."""
+        calls = []
+        real = estimate_module.phase2_update
+
+        def phase2(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == call:
+                raise DivergenceError("parameter vector diverged in phase 2")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimate_module, "phase2_update", phase2)
+        return calls
+
+    def test_divergence_in_restart_keeps_first_pass(self, rng, monkeypatch):
+        panel, model, covs = TestBatchMerges().covariate_panel(rng, "forcing")
+        want = estimate(panel, model, covs, replace(self.OPTIONS, t_max=np.inf))
+        calls = self.diverge_at(monkeypatch, 2)
+        got = estimate(panel, model, covs, replace(self.OPTIONS, t_max=0.0))
+        assert len(calls) == 2 and np.array_equal(calls[1], want.theta)
+        assert result_bytes(got) == result_bytes(want)
+
+    def test_divergence_in_first_pass_propagates(self, rng, monkeypatch):
+        panel, model, covs = TestBatchMerges().covariate_panel(rng, "forcing")
+        calls = self.diverge_at(monkeypatch, 1)
+        with pytest.raises(DivergenceError, match="diverged in phase 2"):
+            estimate(panel, model, covs, self.OPTIONS)
+        assert len(calls) == 1
 
 
 class TestPValues:
