@@ -96,18 +96,16 @@ class ModelSpec:
         return len(self.effects)
 
 
-def _actor_cov(effect, covs: CovariateSet):
+def _covariate(effect, covs: CovariateSet):
+    """The covariate a covariate effect reads; a missing one names the effect
+    and the config key that sets it."""
+    dyadic = effect.kind in DYAD_COV_KINDS
     try:
-        return covs.actor[effect.covariate]
+        return (covs.dyad if dyadic else covs.actor)[effect.covariate]
     except KeyError:
-        raise EffectError(f"actor covariate {effect.covariate!r} not provided")
-
-
-def _dyad_cov(effect, covs: CovariateSet):
-    try:
-        return covs.dyad[effect.covariate]
-    except KeyError:
-        raise EffectError(f"dyadic covariate {effect.covariate!r} not provided")
+        key = "dyad_covariates" if dyadic else "actor_covariates"
+        raise EffectError(f"effect {effect.label}: covariate "
+                          f"{effect.covariate!r} not provided; set it in {key}")
 
 
 def similarity_mean(cov) -> float:
@@ -139,9 +137,9 @@ def dyadic_contribution(effect: EffectSpec, covs: CovariateSet, period: int):
     `valid` is None for fully observed effects, else a boolean dyad mask of
     entries backed by observed data (used for target statistics).
     """
+    cov = _covariate(effect, covs)
     if effect.kind == "dyadX":
-        return _dyad_cov(effect, covs).centered(), None
-    cov = _actor_cov(effect, covs)
+        return cov.centered(), None
     valid = None
     if not cov.observed(period).all():
         obs = cov.observed(period)
@@ -176,7 +174,7 @@ def contribution(effect: EffectSpec, covs: CovariateSet):
     memo lives on `covs` and remembers the covariate object each entry was
     built from, so a replaced covariate is rebuilt. The arrays are read-only.
     """
-    source = (_dyad_cov if effect.kind == "dyadX" else _actor_cov)(effect, covs)
+    source = _covariate(effect, covs)
     hit = covs.derived.get(effect)
     if hit is None or hit[0] is not source:
         periods = 1 if effect.kind == "dyadX" else source.n_periods

@@ -96,18 +96,17 @@ def mahalanobis_test(observed: np.ndarray, simulated: np.ndarray):
     return d_obs, d_draws, p
 
 
-def gof_test(result, final_wave: BinaryNetwork, kind: str,
-             max_k: int = None) -> AuxiliaryStat:
-    """Compare an observed auxiliary on the final wave to the phase-3 draws."""
+def gof_test(result, final_wave: BinaryNetwork, kind: str) -> AuxiliaryStat:
+    """Compare an observed auxiliary on the final wave to the phase-3 draws.
+
+    Degree distributions run up to the largest degree over the wave and the
+    draws."""
     draws = result.draws_final_networks or []
     if len(draws) < MIN_DRAWS:
         raise GofError(
             f"found {len(draws)} retained phase-3 draws, need at least "
             f"{MIN_DRAWS}: rerun the estimation with n3 >= {MIN_DRAWS}")
-    if max_k is None:
-        all_deg = [degree_sequence(final_wave).max()] + \
-            [degree_sequence(d).max() for d in draws]
-        max_k = int(max(all_deg))
+    max_k = int(max(degree_sequence(net).max() for net in [final_wave, *draws]))
     observed, labels = _aux_vector(kind, final_wave, max_k)
     simulated = np.array([_aux_vector(kind, d, max_k)[0] for d in draws])
     d_obs, d_draws, p = mahalanobis_test(observed, simulated)

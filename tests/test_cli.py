@@ -400,16 +400,34 @@ except SystemExit as exc:
         assert main(["ingest", cfg]) == 0
         assert gc.get_freeze_count() == frozen
 
+    def test_library_modules_load_numpy_only(self):
+        # the CLI, config, estimate and fileio load scipy and networkx; the
+        # package itself and the other layers do not
+        done = run_python("-c", """\
+import sys
+import ircnet.panel, ircnet.ingest, ircnet.backbone, ircnet.effects
+import ircnet.simulate, ircnet.gof
+print(sorted(m for m in ("numpy", "scipy", "networkx") if m in sys.modules))
+""")
+        assert done.stdout.strip() == "['numpy']", done.stderr
+        done = run_python("-c", """\
+import sys
+import ircnet.cli
+print(all(m in sys.modules for m in ("scipy.stats", "networkx")))
+""")
+        assert done.stdout.strip() == "True", done.stderr
+
     @pytest.mark.parametrize("before,after", [
         ("", "True"), ("gc.disable()", "False"),
         ("sys.modules['numpy'] = None", "ImportError True")])
     def test_import_keeps_gc_state(self, before, after):
-        # `import ircnet` pauses the collector while it loads its modules
+        # importing the CLI (numpy, scipy.stats, networkx) leaves the
+        # caller's collector as it was, also when an import fails
         done = run_python("-c", f"""\
 import gc, sys
 {before}
 try:
-    import ircnet
+    import ircnet.cli
 except ImportError:
     print("ImportError", end=" ")
 print(gc.isenabled())
@@ -536,7 +554,11 @@ class TestExitCodes:
         assert main(["ingest", cfg]) == 0
         assert main(["backbone", cfg]) == 0
         assert main(["estimate", cfg]) == 1
-        assert name in capsys.readouterr().err
+        # the message names the effect's label and the config key to set
+        kind, covariate = effect.split(":")
+        key = "dyad_covariates" if kind == "dyadX" else "actor_covariates"
+        err = capsys.readouterr().err
+        assert f"{covariate} ({kind})" in err and key in err and name in err
         assert not os.path.exists(os.path.join(root, "out", "result_ST.json"))
 
     def test_divergence_is_runtime_error(self, tmp_path, capsys, monkeypatch):

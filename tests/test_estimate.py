@@ -1,10 +1,10 @@
-import importlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import actor_set, random_graph
+import ircnet.estimate as estimate_module
 from ircnet.effects import EffectSpec, ModelSpec
 from ircnet.estimate import (DivergenceError, EstimationError,
                              EstimationOptions, EstimationResult,
@@ -17,9 +17,6 @@ from ircnet.estimate import (DivergenceError, EstimationError,
 from ircnet.panel import (ActorCovariate, BinaryNetwork, BinaryNetSeries,
                           CovariateSet, empty_network)
 from ircnet.simulate import simulate_panel, simulate_period
-
-# the module itself: `ircnet.estimate` as an attribute is the function
-estimate_module = importlib.import_module("ircnet.estimate")
 
 
 def make_panel(rng, n, waves, model=None, covs=None, start_p=0.1, seed=0):
