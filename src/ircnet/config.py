@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields
 
 from .effects import EffectSpec
 from .estimate import EstimationOptions, OptionRangeError
+from .fileio import text_lines
 
 
 class ConfigError(ValueError):
@@ -119,18 +120,17 @@ class RunConfig:
     @classmethod
     def load(cls, path, overrides=None):
         cfg = cls()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, ln in enumerate(fh, 1):
-                ln = ln.strip()
-                if not ln or ln.startswith("#"):
-                    continue
-                if "=" not in ln:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value, "
-                                      f"got {ln!r}")
-                key, val = (s.strip() for s in ln.split("=", 1))
-                if key not in KEYS:
-                    raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-                cfg.values[key] = val
+        for lineno, ln in enumerate(text_lines(path, ConfigError), 1):
+            ln = ln.strip()
+            if not ln or ln.startswith("#"):
+                continue
+            if "=" not in ln:
+                raise ConfigError(f"{path}:{lineno}: expected key = value, "
+                                  f"got {ln!r}")
+            key, val = (s.strip() for s in ln.split("=", 1))
+            if key not in KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            cfg.values[key] = val
         # a flag's value is hashed in its parsed form: `--seed 07` as 7
         for key, val in (overrides or {}).items():
             if val is not None:

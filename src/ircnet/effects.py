@@ -255,45 +255,34 @@ class NetState:
             tables = self._gwesp[decay] = (weight, steps)
         return tables
 
-    def change_rows(self, effect: EffectSpec, lanes, i, contrib=None,
-                    cols=None) -> np.ndarray:
+    def change_rows(self, effect: EffectSpec, lanes, i, contrib=None) -> np.ndarray:
         """The one definition of each effect's change: in lane lanes[r], the
-        change in actor i[r]'s statistic when tie (i[r], j) toggles.
+        change in actor i[r]'s statistic when tie (i[r], j) toggles, as a
+        (k, n) array over every j.
 
-        Returns a (k, n) array over every j, or, given `cols`, a (k,) array
-        for j = cols[r] alone; an entry equals the row's entry bit for bit.
-        Covariate effects pass `contrib`, their `contribution` values at the
-        same positions. Entry i of a row is meaningless (self-toggle is not
-        an option).
+        Covariate effects pass `contrib`, their `contribution` rows. Entry i
+        of a row is meaningless (self-toggle is not an option).
         """
-        x_i, at = self.ties(lanes, i, cols)
-        return (1 - 2 * at) * self.unsigned_rows(effect, lanes, x_i, at,
-                                                 contrib, cols)
-
-    def ties(self, lanes, i, cols=None):
-        """(x_i, at): actor i[r]'s adjacency row in lane lanes[r], and its
-        entries at `cols` (the row itself without `cols`)."""
         x_i = self.x[lanes, i]
-        return x_i, x_i if cols is None else x_i[np.arange(len(lanes)), cols]
+        return (1 - 2 * x_i) * self.unsigned_rows(effect, lanes, x_i, contrib)
 
-    def unsigned_rows(self, effect: EffectSpec, lanes, x_i, at, contrib=None,
-                      cols=None):
+    def unsigned_rows(self, effect: EffectSpec, lanes, x_i, contrib=None):
         """`change_rows` without its sign 1 - 2x: what adding an absent tie
-        adds, or what removing a present one takes away. (x_i, at) are
-        `ties(lanes, i, cols)`. Density gives the scalar 1."""
+        adds, or what removing a present one takes away. x_i is
+        `self.x[lanes, i]`, actor i[r]'s row in lane lanes[r]. Density gives
+        the scalar 1."""
         if effect.kind == "density":
             return 1
         if effect.kind == "degPlus":
             # adding tie (i,j): partner degree becomes deg_j + 1; removing: deg_j
-            deg = self.deg[lanes] if cols is None else self.deg[lanes, cols]
-            return deg + (1 - at)
+            return self.deg[lanes] + (1 - x_i)
         if effect.kind == "gwesp":
-            return self._gwesp_rows(effect.gwesp_decay, lanes, x_i, at, cols)
+            return self._gwesp_rows(effect.gwesp_decay, lanes, x_i)
         if contrib is None:
             raise EffectError(f"effect {effect.kind} needs its contribution")
         return contrib
 
-    def _gwesp_rows(self, decay, lanes, x_i, at, cols):
+    def _gwesp_rows(self, decay, lanes, x_i):
         """gwesp's unsigned rows. The edge (i, j) weighs weight[e_ij]; toggling
         it shifts the shared partners of each edge (i, h) with h adjacent to
         j by one: a gain steps[0, e_ih] if added, a loss steps[1, e_ih] if
@@ -308,14 +297,9 @@ class NetState:
         m, j = divmod(hit, n)
         cells = r[m] * n + j
         e = np.bincount(cells, minlength=k * n)             # e_ij at r * n + j
-        e_ih = e[near]
-        if cols is None:
-            w = steps[at.ravel()[cells], e_ih[m]]
-            total = weight[e] + np.bincount(cells, w, minlength=k * n)
-            return total.reshape(k, n)
-        w = steps[at[r], e_ih] * rows[np.arange(r.size), cols[r]]
-        return (weight[e[np.arange(k) * n + cols]]
-                + np.bincount(r, w, minlength=k))
+        w = steps[x_i.ravel()[cells], e[near][m]]
+        total = weight[e] + np.bincount(cells, w, minlength=k * n)
+        return total.reshape(k, n)
 
 
 def change_statistic(effect: EffectSpec, net: BinaryNetwork, i: int, j: int,

@@ -22,11 +22,31 @@ class FileFormatError(ValueError):
     pass
 
 
+def text_lines(path, error=FileFormatError) -> list:
+    """The lines of a UTF-8 text file, as text-mode `readlines` gives them.
+    A file that is not UTF-8 raises `error("path:line: ...")` naming the
+    first line that does not decode."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    # the line breaks of text mode; no byte of them occurs inside a
+    # multi-byte UTF-8 character
+    for lineno, line in enumerate(
+            raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n"), 1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}:{lineno}: not UTF-8 text: byte "
+                        f"0x{line[exc.start]:02X} at column {exc.start + 1}") from None
+
+
 def _rows(path):
     """(line number, fields) for each data line of a delimited file; blank
     and '#' lines are skipped but counted."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
+    lines = text_lines(path)
     linenos = [k for k, ln in enumerate(lines, 1)
                if ln.strip() and ln[0] != "#"]
     yield from zip(linenos, csv.reader([lines[k - 1] for k in linenos]))
@@ -69,13 +89,12 @@ def read_actor_set(path) -> ActorSet:
 
 def read_records(path):
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, ln in enumerate(fh, 1):
-            if ln.strip():
-                try:
-                    out.append(ArticleRecord.from_json(ln))
-                except (ValueError, TypeError) as exc:
-                    raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+    for lineno, ln in enumerate(text_lines(path), 1):
+        if ln.strip():
+            try:
+                out.append(ArticleRecord.from_json(ln))
+            except (ValueError, TypeError) as exc:
+                raise FileFormatError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -83,21 +102,20 @@ def read_dictionary(path) -> DisambiguationDictionary:
     """Two-column delimited raw-name -> ISO3; optional '# policy=...' header."""
     policy = "drop"
     mapping = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, ln in enumerate(fh, 1):
-            ln = ln.rstrip("\n")
-            if not ln.strip():
-                continue
-            if ln.startswith("#"):
-                body = ln.lstrip("#").strip()
-                if body.startswith("policy"):
-                    policy = body.split("=", 1)[1].strip()
-                continue
-            parts = ln.split("\t") if "\t" in ln else ln.split(",", 1)
-            if len(parts) != 2:
-                raise FileFormatError(f"{path}:{lineno}: expected a raw name and "
-                                      f"an ISO3 code, got {ln!r}")
-            mapping[parts[0].strip()] = parts[1].strip()
+    for lineno, ln in enumerate(text_lines(path), 1):
+        ln = ln.rstrip("\n")
+        if not ln.strip():
+            continue
+        if ln.startswith("#"):
+            body = ln.lstrip("#").strip()
+            if body.startswith("policy"):
+                policy = body.split("=", 1)[1].strip()
+            continue
+        parts = ln.split("\t") if "\t" in ln else ln.split(",", 1)
+        if len(parts) != 2:
+            raise FileFormatError(f"{path}:{lineno}: expected a raw name and "
+                                  f"an ISO3 code, got {ln!r}")
+        mapping[parts[0].strip()] = parts[1].strip()
     return DisambiguationDictionary(mapping, policy)
 
 
@@ -276,4 +294,12 @@ def write_draws(result, stats_path, finals_path):
 
 def read_draws(finals_path, actors) -> list:
     """The phase-3 final networks `write_draws` wrote, which `gof` tests."""
-    return [BinaryNetwork(actors, 0, x) for x in np.load(finals_path)]
+    try:
+        finals = np.load(finals_path)
+    except (EOFError, ValueError) as exc:   # truncated, or not .npy
+        raise FileFormatError(f"{finals_path}: not a draws file: {exc}") from None
+    if finals.shape[1:] != (actors.n, actors.n):
+        raise FileFormatError(f"{finals_path}: expected draws of "
+                              f"{actors.n}x{actors.n} networks, got an array "
+                              f"of shape {finals.shape}")
+    return [BinaryNetwork(actors, 0, x) for x in finals]

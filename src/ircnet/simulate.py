@@ -119,7 +119,7 @@ class Lanes(NetState):
         for matrix, r in zip(self.folded, firsts):
             for k in fixed:
                 matrix += self.beta[r, k] * self.unsigned_rows(
-                    self.effects[k], None, None, None, self._contrib(k, r))
+                    self.effects[k], None, None, self._contrib(k, r))
         self.streams = [np.random.default_rng(t.stream) for t in tasks]
         self.draws = 0      # ministeps of uniforms each live lane has read
         self.live = np.arange(len(tasks))
@@ -153,39 +153,32 @@ class Lanes(NetState):
             self.live[going], self.scale[going], self.block[going],
             self.times[going], self.actors[going])
 
-    def _contrib(self, k, lanes, i=slice(None), cols=None):
-        """Effect k's `contribution` values for lanes `lanes`: its rows i,
-        or, given `cols`, their entries at cols (whole matrices by
-        default); None if effect k has no covariate."""
+    def _contrib(self, k, lanes, i=slice(None)):
+        """Effect k's `contribution` values for lanes `lanes`: its rows i
+        (whole matrices by default); None if effect k has no covariate."""
         if k not in self.contrib:
             return None
         stack, lay = self.contrib[k]
-        return stack[lay[lanes], i] if cols is None else stack[lay[lanes], i, cols]
+        return stack[lay[lanes], i]
 
-    def objective(self, lanes, i, cols=None, units=None) -> np.ndarray:
+    def objective(self, lanes, i, units=None) -> np.ndarray:
         """Objective change of actor i[r] in lane lanes[r] for toggling each
-        tie (i[r], j), or, given `cols`, tie (i[r], cols[r]) alone: the
-        lane's folded row plus the beta-weighted `change_rows` of the
-        effects that read the network, with the common sign taken out of
-        the sum (exact, as negation does not round). A list passed as
-        `units` receives each effect's unsigned rows, in effect order."""
-        x_i, at = self.ties(lanes, i, cols)
-        fold = self.fold[lanes]
-        if cols is None:
-            total = self.folded[fold, i]
-            beta = self.beta[lanes, :, None]
-        else:
-            total = self.folded[fold, i, cols]
-            beta = self.beta[lanes]
-        rows = {k: self.unsigned_rows(self.effects[k], lanes, x_i, at, cols=cols)
+        tie (i[r], j): the lane's folded row plus the beta-weighted
+        `change_rows` of the effects that read the network, with the common sign
+        taken out of the sum (exact, as negation does not round). A list passed
+        as `units` receives each effect's unsigned rows, in effect order."""
+        x_i = self.x[lanes, i]
+        total = self.folded[self.fold[lanes], i]
+        beta = self.beta[lanes, :, None]
+        rows = {k: self.unsigned_rows(self.effects[k], lanes, x_i)
                 for k in self.network}
         for k, unsigned in rows.items():
             total += beta[:, k] * unsigned
         if units is not None:
             units += [rows[k] if k in rows else self.unsigned_rows(
-                eff, lanes, x_i, at, self._contrib(k, lanes, i, cols), cols)
+                eff, lanes, x_i, self._contrib(k, lanes, i))
                 for k, eff in enumerate(self.effects)]
-        return np.negative(total, out=total, where=at.view(bool))
+        return np.negative(total, out=total, where=x_i.view(bool))
 
     def add_scores(self, lanes, rows, probs, chosen):
         """Add one choice to the scores of `lanes`: rows (r, effects, k) are
@@ -265,14 +258,16 @@ def ministep(state: Lanes) -> Lanes:
         adding = (state.x[lanes, i, j] == 0).nonzero()[0]
         if adding.size:
             units = None if state.score is None else []
-            partner = state.objective(lanes[adding], j[adding], cols=i[adding],
-                                      units=units)   # the partner's rows
+            # partner j's objective row, read at i: its change for tie (j, i)
+            asked, at = np.arange(adding.size), i[adding]
+            partner = state.objective(lanes[adding], j[adding],
+                                      units=units)[asked, at]
             agree = 1.0 / (1.0 + np.exp(-partner))
             refused = u[adding, 3] >= agree
             if units is not None:
                 # the partner's two options: refuse (no change) or agree
                 changes = np.zeros((adding.size, len(units), 2))
-                changes[:, :, 1] = _stacked(units, (adding.size,))
+                changes[:, :, 1] = _stacked(units, (adding.size, n))[asked, :, at]
                 state.add_scores(lanes[adding], changes,
                                  np.column_stack((1.0 - agree, agree)),
                                  (~refused).astype(np.intp))

@@ -299,6 +299,30 @@ class TestEstimateAndGof:
         assert main(["gof", cfg]) == 0
         assert [read_bytes(path) for path in tables] == want
 
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "wrong n"])
+    def test_gof_names_a_bad_draws_file(self, tmp_path, capsys, damage):
+        """np.load raises EOFError on an empty file and ValueError on a
+        truncated one; either, or draws of another actor count, exits 1
+        naming the file."""
+        root = str(tmp_path)
+        write_fixtures(root, random_records(5))
+        cfg = write_config(root, extra=FAST_FIT)
+        for command in ("ingest", "backbone", "estimate"):
+            assert main([command, cfg]) == 0
+        finals = os.path.join(root, "out", "draws_finals_ST.npy")
+        if damage == "wrong n":
+            np.save(finals, np.zeros((20, 5, 5), dtype=np.int8))
+        else:
+            data = read_bytes(finals)
+            with open(finals, "wb") as fh:
+                fh.write(data[:len(data) // 2 if damage == "truncated" else 0])
+        capsys.readouterr()
+        assert main(["gof", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {finals}: ")
+        if damage == "wrong n":
+            assert "6x6" in err and "(20, 5, 5)" in err
+
     @pytest.mark.slow
     def test_rerun_is_byte_identical(self, tmp_path):
         root = str(tmp_path)
@@ -328,12 +352,21 @@ def run_python(*args):
                           capture_output=True, text=True, timeout=300)
 
 
+PHASES = ("estimate.phase1_derivative", "estimate.phase2_update",
+          "estimate.phase3_finalize")
+
+
 class TestTracer:
     """`bench/tracer.py` wraps the public functions of every ircnet module,
     and the methods `RunConfig.load`, `RunConfig.estimation_options` and
     `RunConfig.meta` by name. It reads some call arguments: `args[4].n1` of
-    `phase1_derivative`, `args[0].draws_final_networks` of `gof_test`. A
-    traced command must still run and record those spans."""
+    `phase1_derivative`, `args[0].draws_final_networks` of `gof_test`. Its
+    `estimate.*` and `simulate.*` metrics read the spans of the three phases
+    and of `simulate_period` and `simulate_panel`, and count a phase-2
+    iteration per `simulate_panel` span whose nearest phase is
+    `phase2_update`. A traced command must still run and record those
+    spans, so a phase taken off `estimate`'s call path fails here rather
+    than zeroing those metrics."""
 
     def test_traced_estimate_and_gof(self, tmp_path):
         root = str(tmp_path)
@@ -341,16 +374,27 @@ class TestTracer:
         cfg = write_config(root, extra=FAST_FIT)
         assert main(["ingest", cfg]) == 0
         assert main(["backbone", cfg]) == 0
-        for command, span in (("estimate", "estimate.phase1_derivative"),
-                              ("gof", "gof.gof_test")):
+        spans = {}
+        for command, wanted in (
+                ("estimate", PHASES + ("simulate.simulate_period",
+                                       "simulate.simulate_panel")),
+                ("gof", ("gof.gof_test",))):
             dump = os.path.join(root, f"{command}.json")
             done = run_python(os.path.join(REPO, "bench", "tracer.py"),
                               dump, command, cfg)
             assert done.returncode == 0, done.stderr
             with open(dump) as fh:
-                spans = json.load(fh)["spans"]
-            names = {name for name, *_ in spans}
-            assert {span, "config.RunConfig.load"} <= names
+                spans[command] = json.load(fh)["spans"]
+            names = {name for name, *_ in spans[command]}
+            assert set(wanted) | {"config.RunConfig.load"} <= names
+        spans = spans["estimate"]
+        owners = set()      # each simulate_panel span's nearest phase
+        for name, _, _, parent, _ in spans:
+            if name == "simulate.simulate_panel":
+                while parent is not None and spans[parent][0] not in PHASES:
+                    parent = spans[parent][3]
+                owners.add(None if parent is None else spans[parent][0])
+        assert "estimate.phase2_update" in owners
 
 
 class TestProgramEntry:
@@ -575,6 +619,23 @@ class TestExitCodes:
         assert main(["estimate", cfg]) == 2
         assert "diverged in phase 2" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(root, "out", "result_ST.json"))
+
+    @pytest.mark.parametrize("name", ["records.jsonl", "actors.txt",
+                                      "dictionary.tsv", "run.cfg"])
+    def test_input_not_utf8(self, tmp_path, capsys, name):
+        """A Latin-1 byte (0xE9) in line 3 of an input exits 1 naming the
+        file and line."""
+        root = str(tmp_path)
+        write_fixtures(root, random_records(16))
+        cfg = write_config(root)
+        path = os.path.join(root, name)
+        lines = read_bytes(path).split(b"\n")
+        lines[2] = lines[2].replace(b"e", b"\xe9", 1) + b" \xe9"
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        assert main(["ingest", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:3: not UTF-8 text: byte 0xE9" in err
 
     def test_malformed_config_line(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
