@@ -106,13 +106,19 @@ def _load_panel(cfg):
     slug = _slug(cfg["domain"])
     panel_path = cfg["panel"] or os.path.join(out, f"backbone_{slug}.csv")
     panel = fileio.read_binary_edgelist(panel_path, actors, cfg["years"])
+    return actors, panel, out, slug
+
+
+def _load_covariates(cfg, panel, dyadic=True) -> CovariateSet:
+    """The actor covariates over the panel's years, and the dyadic ones if
+    `dyadic`: a command reads no covariate key or file it does not use."""
     covs = CovariateSet()
     for name, path, transform in cfg["actor_covariates"]:
-        covs.add(fileio.read_actor_covariate(path, name, actors, panel.years,
-                                             transform=transform))
-    for name, path, transform in cfg["dyad_covariates"]:
-        covs.add(fileio.read_dyad_matrix(path, name, actors, transform=transform))
-    return actors, panel, covs, out, slug
+        covs.add(fileio.read_actor_covariate(path, name, panel.actors,
+                                             panel.years, transform=transform))
+    for name, path, transform in cfg["dyad_covariates"] if dyadic else ():
+        covs.add(fileio.read_dyad_matrix(path, name, panel.actors, transform=transform))
+    return covs
 
 
 def _report_lines(result):
@@ -127,7 +133,8 @@ def _report_lines(result):
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    _, panel, covs, out, slug = _load_panel(cfg)
+    _, panel, out, slug = _load_panel(cfg)
+    covs = _load_covariates(cfg, panel)
     model = ModelSpec(cfg["effects"], model_type=cfg["model_type"])
     options = cfg.estimation_options()
     result = run_estimation(panel, model, covs, options)
@@ -149,7 +156,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def cmd_gof(cfg: RunConfig) -> int:
-    actors, panel, _, out, slug = _load_panel(cfg)
+    actors, panel, out, slug = _load_panel(cfg)
     finals_path = os.path.join(out, f"draws_finals_{slug}.npy")
     if not os.path.exists(finals_path):
         raise gof.GofError(
@@ -173,7 +180,8 @@ def cmd_gof(cfg: RunConfig) -> int:
 
 
 def cmd_export(cfg: RunConfig) -> int:
-    _, panel, covs, out, slug = _load_panel(cfg)
+    _, panel, out, slug = _load_panel(cfg)
+    covs = _load_covariates(cfg, panel, dyadic=False)
     meta = cfg.meta()
     for m, net in enumerate(panel):
         attrs = {name: cov.filled(m) for name, cov in sorted(covs.actor.items())}

@@ -14,6 +14,7 @@ observed target sums.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,9 @@ ALL_KINDS = STRUCTURAL_KINDS + ACTOR_COV_KINDS + DYAD_COV_KINDS
 # kinds whose change rows read the network; every other kind's rows are
 # fixed for a given period, so the simulator folds them (`simulate.Lanes`)
 NETWORK_KINDS = ("gwesp", "degPlus")
+# gwesp's decay a (RSiena's default parameter 69): each extra shared partner
+# adds half the previous increment
+GWESP_DECAY = math.log(2.0)
 
 
 class EffectError(ValueError):
@@ -39,14 +43,12 @@ class EffectSpec:
     """One term of the objective function.
 
     kind: one of density, gwesp, degPlus, egoPlusAltX, egoPlusAltSqX,
-    simX, dyadX. Covariate effects must name their covariate; gwesp takes
-    a decay parameter (default ln 2: each extra shared partner adds half
-    the previous increment).
+    simX, dyadX. Covariate effects must name their covariate; gwesp's decay
+    is `GWESP_DECAY`.
     """
 
     kind: str
     covariate: str = None
-    gwesp_decay: float = math.log(2.0)
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
@@ -56,8 +58,6 @@ class EffectSpec:
             raise EffectError(f"effect {self.kind} requires a covariate name")
         if not needs_cov and self.covariate:
             raise EffectError(f"effect {self.kind} takes no covariate")
-        if self.gwesp_decay <= 0:
-            raise EffectError("gwesp decay must be positive")
 
     @property
     def label(self) -> str:
@@ -108,85 +108,54 @@ def _covariate(effect, covs: CovariateSet):
                           f"{effect.covariate!r} not provided; set it in {key}")
 
 
-def similarity_mean(cov) -> float:
-    """Mean of sim_ij = 1 - |v_i - v_j| / range over observed dyads, all periods."""
-    rng = cov.value_range
-    if rng == 0.0:
-        return 1.0
-    total, count = 0.0, 0
-    for p in range(cov.n_periods):
-        v = cov.values[:, p]
-        obs = ~np.isnan(v)
-        vo = v[obs]
-        if vo.size < 2:
-            continue
-        diff = np.abs(vo[:, None] - vo[None, :])
-        iu = np.triu_indices(vo.size, k=1)
-        sims = 1.0 - diff[iu] / rng
-        total += sims.sum()
-        count += sims.size
-    if count == 0:
-        return 1.0
-    return total / count
-
-
 def dyadic_contribution(effect: EffectSpec, covs: CovariateSet, period: int):
-    """(contrib, valid): per-dyad contribution matrix for a covariate effect.
-
-    contrib[i, j] is what toggling tie (i, j) adds to actor i's statistic.
-    `valid` is None for fully observed effects, else a boolean dyad mask of
-    entries backed by observed data (used for target statistics).
-    """
+    """Per-dyad contribution matrix of a covariate effect at `period`:
+    contrib[i, j] is what toggling tie (i, j) adds to actor i's statistic,
+    with a missing value imputed by the grand mean."""
     cov = _covariate(effect, covs)
     if effect.kind == "dyadX":
-        return cov.centered(), None
-    valid = None
-    if not cov.observed(period).all():
-        obs = cov.observed(period)
-        valid = obs[:, None] & obs[None, :]
-    if effect.kind == "egoPlusAltX":
+        return cov.centered()
+    if effect.kind in ("egoPlusAltX", "egoPlusAltSqX"):
         v = cov.centered(period)
         contrib = v[:, None] + v[None, :]
-    elif effect.kind == "egoPlusAltSqX":
-        v = cov.centered(period)
-        contrib = (v[:, None] + v[None, :]) ** 2
+        if effect.kind == "egoPlusAltSqX":
+            contrib = contrib ** 2
     elif effect.kind == "simX":
+        # a constant covariate has range 0, no differences and mean 1
         v = cov.filled(period)
-        rng = cov.value_range
-        if rng == 0.0:
-            contrib = np.ones((v.size, v.size)) - similarity_mean(cov)
-        else:
-            contrib = 1.0 - np.abs(v[:, None] - v[None, :]) / rng - similarity_mean(cov)
+        contrib = (1.0 - np.abs(v[:, None] - v[None, :]) / (cov.value_range or 1.0)
+                   - cov.similarity_mean)
     else:
         raise EffectError(f"{effect.kind} is not a covariate effect")
     np.fill_diagonal(contrib, 0.0)
-    return contrib, valid
+    return contrib
 
 
 def contribution(effect: EffectSpec, covs: CovariateSet):
-    """(contrib, valid): `dyadic_contribution` stacked over the covariate's
-    periods, built once per covariate set.
+    """(contrib, target): `dyadic_contribution` stacked over the covariate's
+    periods, built once per covariate set since they do not depend on beta.
 
     Layer q is period q's matrix; `layer(contrib, period)` names the layer a
-    period reads (a dyadic or single-column covariate has one). `valid` is
-    None when every period is fully observed. The stacks do not depend on
-    beta, so a fit that simulates thousands of periods builds each once. The
-    memo lives on `covs` and remembers the covariate object each entry was
-    built from, so a replaced covariate is rebuilt. The arrays are read-only.
+    period reads (a dyadic or single-column covariate has one). The
+    simulation reads `contrib`; the targets read `target`, which zeroes the
+    dyads of actors without an observed value and is `contrib` itself when
+    no value is missing. The memo lives on `covs` and remembers the
+    covariate each entry was built from, so a replaced covariate is
+    rebuilt. The arrays are read-only.
     """
     source = _covariate(effect, covs)
     hit = covs.derived.get(effect)
     if hit is None or hit[0] is not source:
         periods = 1 if effect.kind == "dyadX" else source.n_periods
-        built = [dyadic_contribution(effect, covs, q) for q in range(periods)]
-        contrib = np.stack([c for c, _ in built])
-        valid = None
-        if any(v is not None for _, v in built):
-            valid = np.stack([np.ones(c.shape, bool) if v is None else v
-                              for c, v in built])
-            valid.setflags(write=False)
+        contrib = np.stack([dyadic_contribution(effect, covs, q)
+                            for q in range(periods)])
+        target = contrib
+        if effect.kind != "dyadX" and source.missing.any():
+            obs = ~source.missing.T         # (periods, actors)
+            target = np.where(obs[:, :, None] & obs[:, None, :], contrib, 0.0)
         contrib.setflags(write=False)
-        hit = covs.derived[effect] = (source, contrib, valid)
+        target.setflags(write=False)
+        hit = covs.derived[effect] = (source, contrib, target)
     return hit[1], hit[2]
 
 
@@ -210,6 +179,26 @@ def statistic(effect: EffectSpec, net: BinaryNetwork, covs: CovariateSet = None,
 TOGGLE_SIGN = np.array([1, -1], dtype=np.int8)   # 1 - 2x: +1 adds, -1 removes
 
 
+@functools.cache
+def _gwesp_tables(n: int):
+    """(weight, steps) on n actors, indexed by shared-partner count e = 0..n;
+    read-only, and built once per n.
+
+    weight[e] = e^a (1 - (1 - e^-a)^e) is the gwesp weight of an edge with e
+    shared partners; steps[0, e] is what the edge gains when e rises by one,
+    steps[1, e] what it loses when e falls by one.
+    """
+    e = np.arange(n + 1, dtype=float)
+    c = 1.0 - math.exp(-GWESP_DECAY)
+    ea = math.exp(GWESP_DECAY)
+    steps = np.stack((ea * (1.0 - c) * np.power(c, e),
+                      ea * (1.0 - c) * np.power(c, np.maximum(e, 1) - 1)))
+    weight = ea * (1.0 - np.power(c, e))
+    weight.setflags(write=False)
+    steps.setflags(write=False)
+    return weight, steps
+
+
 class NetState:
     """Undirected networks on one actor set, stacked as lanes along a leading
     axis, with their degrees, both kept up to date by `toggle` in O(1) work
@@ -226,7 +215,6 @@ class NetState:
         self.x = x[None] if x.ndim == 2 else x
         self.deg = np.asarray(self.x.sum(axis=2) if deg is None else deg,
                               dtype=np.int16)
-        self._gwesp = {}
 
     def toggle(self, lanes, i, j):
         """In lane lanes[r], add tie (i[r], j[r]) if absent, else remove it."""
@@ -236,24 +224,6 @@ class NetState:
         self.x[lanes, j, i] = tie
         self.deg[lanes, i] += d
         self.deg[lanes, j] += d
-
-    def gwesp_tables(self, decay: float):
-        """(weight, steps) indexed by shared-partner count e = 0..n.
-
-        weight[e] = e^a (1 - (1 - e^-a)^e) is the gwesp weight of an edge
-        with e shared partners; steps[0, e] is what the edge gains when e
-        rises by one, steps[1, e] what it loses when e falls by one.
-        """
-        tables = self._gwesp.get(decay)
-        if tables is None:
-            e = np.arange(self.x.shape[-1] + 1, dtype=float)
-            c = 1.0 - math.exp(-decay)
-            ea = math.exp(decay)
-            steps = np.stack((ea * (1.0 - c) * np.power(c, e),
-                              ea * (1.0 - c) * np.power(c, np.maximum(e, 1) - 1)))
-            weight = ea * (1.0 - np.power(c, e))
-            tables = self._gwesp[decay] = (weight, steps)
-        return tables
 
     def change_rows(self, effect: EffectSpec, lanes, i, contrib=None) -> np.ndarray:
         """The one definition of each effect's change: in lane lanes[r], the
@@ -277,19 +247,19 @@ class NetState:
             # adding tie (i,j): partner degree becomes deg_j + 1; removing: deg_j
             return self.deg[lanes] + (1 - x_i)
         if effect.kind == "gwesp":
-            return self._gwesp_rows(effect.gwesp_decay, lanes, x_i)
+            return self._gwesp_rows(lanes, x_i)
         if contrib is None:
             raise EffectError(f"effect {effect.kind} needs its contribution")
         return contrib
 
-    def _gwesp_rows(self, decay, lanes, x_i):
+    def _gwesp_rows(self, lanes, x_i):
         """gwesp's unsigned rows. The edge (i, j) weighs weight[e_ij]; toggling
         it shifts the shared partners of each edge (i, h) with h adjacent to
         j by one: a gain steps[0, e_ih] if added, a loss steps[1, e_ih] if
         removed. The ties (h, j) of i's neighbours' rows, counted per (row,
         j) cell, give e_i.; `bincount` adds each cell's steps in ascending h."""
-        weight, steps = self.gwesp_tables(decay)
         k, n = x_i.shape
+        weight, steps = _gwesp_tables(n)
         near = x_i.view(bool).ravel().nonzero()[0]  # i's neighbours h, at r * n + h
         r, h = divmod(near, n)
         rows = self.x[lanes[r], h]              # their rows: ties (h, j) at
@@ -328,7 +298,8 @@ def _dyad_terms(effect: EffectSpec, state: NetState, covs: CovariateSet,
     row i sums to actor i's statistic on lane `lane` of `state` and whose sum
     is the total.
 
-    use_mask=True zeroes dyads with missing covariate data.
+    use_mask=True reads a covariate effect's target stack, where dyads with
+    missing covariate data are zero.
     """
     x = state.x[lane]
     if effect.kind == "density":
@@ -336,16 +307,13 @@ def _dyad_terms(effect: EffectSpec, state: NetState, covs: CovariateSet,
     if effect.kind == "degPlus":
         return x * state.deg[lane]  # row i sums x_ij deg_j
     if effect.kind == "gwesp":
-        weight, _ = state.gwesp_tables(effect.gwesp_decay)
+        weight, _ = _gwesp_tables(len(x))
         i, j, e = shared_partners(x)
         terms = np.zeros(x.shape)
         terms[i, j] = weight[e]
         return terms
-    contrib, valid = contribution(effect, covs)
-    q = layer(contrib, period)
-    if use_mask and valid is not None:
-        return x * np.where(valid[q], contrib[q], 0.0)
-    return x * contrib[q]
+    contrib, target = contribution(effect, covs)
+    return x * (target if use_mask else contrib)[layer(contrib, period)]
 
 
 def effect_totals(effects, state: NetState, covs: CovariateSet = None,

@@ -13,7 +13,7 @@ import json
 import numpy as np
 import networkx as nx
 
-from .ingest import ArticleRecord, DisambiguationDictionary
+from .ingest import POLICIES, ArticleRecord, DisambiguationDictionary
 from .panel import (ActorSet, BinaryNetwork, BinaryNetSeries, DyadCovariate,
                     ActorCovariate, WeightedNetwork, WeightedNetSeries)
 
@@ -109,7 +109,10 @@ def read_dictionary(path) -> DisambiguationDictionary:
         if ln.startswith("#"):
             body = ln.lstrip("#").strip()
             if body.startswith("policy"):
-                policy = body.split("=", 1)[1].strip()
+                key, _, policy = (part.strip() for part in body.partition("="))
+                if key != "policy" or policy not in POLICIES:
+                    raise FileFormatError(f"{path}:{lineno}: expected '# policy=drop'"
+                                          f" or '# policy=error', got {ln!r}")
             continue
         parts = ln.split("\t") if "\t" in ln else ln.split(",", 1)
         if len(parts) != 2:

@@ -18,6 +18,7 @@ from .panel import (ActorSet, BinaryNetwork, NetSeries, WeightedNetSeries,
                     WeightedNetwork, density, edge_count, isolate_count)
 
 OUT_OF_SET = "__OUT_OF_SET__"
+POLICIES = ("drop", "error")    # what an unmatched country name does
 
 
 class IngestError(ValueError):
@@ -25,8 +26,9 @@ class IngestError(ValueError):
 
 
 class UnmatchedCountryError(IngestError):
-    def __init__(self, raw: str):
-        super().__init__(f"no dictionary entry for country name {raw!r}")
+    def __init__(self, raw: str, record=None):
+        where = "" if record is None else f"record {record.id} ({record.year}): "
+        super().__init__(f"{where}no dictionary entry for country name {raw!r}")
         self.raw = raw
 
 
@@ -54,9 +56,11 @@ class ArticleRecord:
         domains = obj.get("domain", "unclassified")
         if isinstance(domains, str):
             domains = [domains]
-        return cls(id=str(obj["id"]), year=int(obj["year"]),
-                   domains=tuple(domains),
-                   affiliations=tuple(obj["affiliations"]))
+        for key, value in (("domain", domains), ("affiliations", obj["affiliations"])):
+            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                raise IngestError(f"record {obj['id']}: {key} must be a list of "
+                                  f"strings, got {obj[key]!r}")
+        return cls(str(obj["id"]), int(obj["year"]), domains, obj["affiliations"])
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ class DisambiguationDictionary:
     policy: str = "drop"
 
     def __post_init__(self):
-        if self.policy not in ("drop", "error"):
+        if self.policy not in POLICIES:
             raise IngestError(f"unknown unmatched policy {self.policy!r}")
         object.__setattr__(self, "mapping", dict(self.mapping))
 
@@ -86,13 +90,13 @@ def expand_pairs(record: ArticleRecord, dictionary: DisambiguationDictionary,
                  actors: ActorSet = None) -> set:
     """Unordered pairs of distinct in-set country codes on one article."""
     codes = set()
-    for raw in record.affiliations:
-        code = disambiguate(raw, dictionary)
-        if code == OUT_OF_SET:
-            continue
-        if actors is not None and code not in actors:
-            continue
-        codes.add(code)
+    try:
+        for raw in record.affiliations:
+            code = disambiguate(raw, dictionary)
+            if code != OUT_OF_SET and (actors is None or code in actors):
+                codes.add(code)
+    except UnmatchedCountryError as exc:
+        raise UnmatchedCountryError(exc.raw, record) from None
     return set(itertools.combinations(sorted(codes), 2))   # each pair sorted
 
 

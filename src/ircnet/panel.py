@@ -6,6 +6,7 @@ and shared across every wave, covariate, and dyadic matrix built on it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,14 +178,29 @@ class ActorCovariate:
     def n_periods(self) -> int:
         return self.values.shape[1]
 
-    @property
+    @functools.cached_property
     def grand_mean(self) -> float:
         return float(np.nanmean(self.values))
 
-    @property
+    @functools.cached_property
     def value_range(self) -> float:
         # max - min over observed entries; 0 for a constant covariate
         return float(np.nanmax(self.values) - np.nanmin(self.values))
+
+    @functools.cached_property
+    def similarity_mean(self) -> float:
+        """Mean of sim_ij = 1 - |v_i - v_j| / range over the pairs of actors
+        observed in a period, all periods; 1 for a constant covariate."""
+        if self.value_range == 0.0:
+            return 1.0
+        total, count = 0.0, 0
+        for v in self.values.T:
+            v = v[~np.isnan(v)]
+            diff = np.abs(v[:, None] - v[None, :])[np.triu_indices(v.size, k=1)]
+            sims = 1.0 - diff / self.value_range
+            total += sims.sum()
+            count += sims.size
+        return total / count if count else 1.0
 
     def column(self, period: int) -> int:
         # constant covariates broadcast their single column to every period

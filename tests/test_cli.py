@@ -672,6 +672,74 @@ class TestExitCodes:
         assert main(["ingest", write_config(root)]) == 1
         assert f"{records}:4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,fields", [
+        # a string is not split into one-character names
+        ("affiliations", '"affiliations": "United States"'),
+        ("affiliations", '"affiliations": ["Japan", 3]'),
+        ("domain", '"domain": ["S&T", null], "affiliations": ["Japan"]'),
+        ("domain", '"domain": 5, "affiliations": ["Japan"]'),
+    ])
+    def test_record_field_types(self, tmp_path, capsys, key, fields):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(13, 3))
+        records = os.path.join(root, "records.jsonl")
+        with open(records, "a") as fh:
+            fh.write(f'{{"id": "p2", "year": 2000, {fields}}}\n')
+        assert main(["ingest", write_config(root)]) == 1
+        err = capsys.readouterr().err
+        assert f"{records}:4: record p2: {key} must be a list of strings" in err
+
+    @pytest.mark.parametrize("line", ["# policy", "# policy=bogus",
+                                      "# policy: error", "#policy =drops"])
+    def test_bad_dictionary_policy(self, tmp_path, capsys, line):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(13, 3))
+        dictionary = os.path.join(root, "dictionary.tsv")
+        with open(dictionary, "a") as fh:
+            fh.write(line + "\n")
+        assert main(["ingest", write_config(root)]) == 1
+        err = capsys.readouterr().err
+        assert f"{dictionary}:8: expected '# policy=drop' or " in err
+
+    def test_unmatched_country_names_its_record(self, tmp_path, capsys):
+        root = str(tmp_path)
+        records = [{"id": "A0", "year": 2000, "domain": "S&T",
+                    "affiliations": ["Japan", "France"]},
+                   {"id": "A1", "year": 2001, "domain": "S&T",
+                    "affiliations": ["Germany", "Narnia"]}]
+        write_fixtures(root, records)
+        dictionary = os.path.join(root, "dictionary.tsv")
+        with open(dictionary, "a") as fh:
+            fh.write("# policy=error\n")
+        assert main(["ingest", write_config(root)]) == 1
+        err = capsys.readouterr().err
+        assert ("record A1 (2001): no dictionary entry for country name "
+                "'Narnia'") in err
+
+    def test_gof_and_export_read_no_dyad_matrix(self, tmp_path, capsys):
+        """gof reads no covariate and export only the actor covariates, so
+        neither needs the dyad matrix that estimate reads."""
+        root = str(tmp_path)
+        write_fixtures(root, random_records(5))
+        ac, dist = tmp_path / "ac.csv", tmp_path / "dist.csv"
+        ac.write_text("iso3,year,value\n" + "".join(
+            f"{code},{year},{k}\n" for k, code in enumerate(ACTORS)
+            for year in YEARS))
+        dist.write_text("\n".join(_dyad_lines()) + "\n")
+        cfg = write_config(root, extra=FAST_FIT + f"actor_covariates = ac:{ac}\n"
+                                       f"dyad_covariates = dist:{dist}\n")
+        for command in ("ingest", "backbone", "estimate"):
+            assert main([command, cfg]) == 0
+        os.remove(dist)
+        assert main(["gof", cfg]) == 0
+        assert main(["export", cfg]) == 0
+        graphml = os.path.join(root, "out", "wave_ST_2000.graphml")
+        with open(graphml, encoding="utf-8") as fh:
+            assert 'attr.name="ac"' in fh.read()
+        capsys.readouterr()
+        assert main(["estimate", cfg]) == 1
+        assert str(dist) in capsys.readouterr().err
+
     def test_unparseable_years(self, tmp_path, capsys):
         root = str(tmp_path)
         write_fixtures(root, random_records(14))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import actor_set, random_graph, toggled
-from ircnet.effects import (EffectError, EffectSpec, ModelSpec,
-                            change_statistic, statistic, target_statistics)
+from ircnet.effects import (EffectError, EffectSpec, ModelSpec, _gwesp_tables,
+                            change_statistic, contribution, statistic,
+                            target_statistics)
 from ircnet.panel import (ActorCovariate, BinaryNetwork, BinaryNetSeries,
                           CovariateSet, DyadCovariate)
 
@@ -80,28 +81,78 @@ class TestStatistic:
         x[0, 1] = x[1, 0] = 1
         net = BinaryNetwork(actor_set(3), 0, x)
         eff = EffectSpec("simX", "ac")
-        from ircnet.effects import dyadic_contribution, similarity_mean
-        contrib, _ = dyadic_contribution(eff, covs, 0)
-        sim_mean = similarity_mean(covs.actor["ac"])
+        from ircnet.effects import dyadic_contribution
+        contrib = dyadic_contribution(eff, covs, 0)
+        sim_mean = covs.actor["ac"].similarity_mean
         assert contrib[0, 1] + sim_mean == pytest.approx(0.5)
         # identical values -> similarity 1 before centering
         assert contrib[1, 1] == 0.0
         vals2 = np.array([[0.4], [0.4], [1.4]])
         covs2 = CovariateSet().add(ActorCovariate("ac", vals2))
-        contrib2, _ = dyadic_contribution(eff, covs2, 0)
-        assert contrib2[0, 1] + similarity_mean(covs2.actor["ac"]) == pytest.approx(1.0)
+        contrib2 = dyadic_contribution(eff, covs2, 0)
+        assert contrib2[0, 1] + covs2.actor["ac"].similarity_mean == pytest.approx(1.0)
 
     def test_simx_affine_invariance(self, rng):
         from ircnet.effects import dyadic_contribution
         vals = rng.random((8, 1))
         eff = EffectSpec("simX", "ac")
-        c1, _ = dyadic_contribution(eff, CovariateSet().add(ActorCovariate("ac", vals)), 0)
-        c2, _ = dyadic_contribution(eff, CovariateSet().add(ActorCovariate("ac", 3.0 * vals + 11.0)), 0)
+        c1 = dyadic_contribution(eff, CovariateSet().add(ActorCovariate("ac", vals)), 0)
+        c2 = dyadic_contribution(eff, CovariateSet().add(ActorCovariate("ac", 3.0 * vals + 11.0)), 0)
         assert np.allclose(c1, c2)
 
     def test_missing_covariate_raises(self):
         with pytest.raises(EffectError):
             statistic(EffectSpec("egoPlusAltX", "nope"), k3(), CovariateSet())
+
+
+class TestContributionStacks:
+    """The beta-free stacks of `contribution`: one for simulation, one for
+    targets with the dyads of unobserved actors zeroed."""
+
+    @pytest.mark.parametrize("kind", ["egoPlusAltX", "egoPlusAltSqX", "simX"])
+    def test_target_stack_matches_mask_oracle(self, rng, kind):
+        n = 9
+        vals = rng.random((n, 3))
+        vals[[1, 6], 0] = np.nan         # period 1 stays fully observed
+        vals[4, 2] = np.nan
+        covs = CovariateSet().add(ActorCovariate("ac", vals))
+        contrib, target = contribution(EffectSpec(kind, "ac"), covs)
+        assert target is not contrib
+        for q in range(3):
+            obs = ~np.isnan(vals[:, q])
+            oracle = np.where(obs[:, None] & obs[None, :], contrib[q], 0.0)
+            assert np.array_equal(target[q], oracle)
+        assert np.count_nonzero(target[0] != contrib[0]) > 0
+        assert np.array_equal(target[1], contrib[1])
+
+    @pytest.mark.parametrize("kind,covname", [
+        ("egoPlusAltX", "ac"), ("egoPlusAltSqX", "ac"), ("simX", "ac"),
+        ("dyadX", "dist")])
+    def test_stacks_read_only_and_shared_when_observed(self, rng, kind, covname):
+        eff = EffectSpec(kind, covname)
+        contrib, target = contribution(eff, make_covs(rng, 7, periods=3))
+        assert target is contrib
+        assert not contrib.flags.writeable
+        if covname == "ac":
+            contrib, target = contribution(
+                eff, make_covs(rng, 7, periods=3, missing_frac=0.3))
+            assert target is not contrib
+        for stack in (contrib, target):
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 1] = 1.0
+
+    def test_gwesp_tables_shared_and_read_only(self):
+        weight, steps = _gwesp_tables(7)
+        assert _gwesp_tables(7)[0] is weight and _gwesp_tables(7)[1] is steps
+        assert len(_gwesp_tables(8)[0]) == 9
+        e = np.arange(8)
+        # decay ln 2: weight 2 (1 - 2^-e), a step up adds 2^-e
+        np.testing.assert_allclose(weight, 2.0 * (1.0 - 0.5 ** e), rtol=1e-15)
+        np.testing.assert_allclose(steps[0], 0.5 ** e, rtol=1e-15)
+        for table in (weight, steps):
+            with pytest.raises(ValueError):
+                table[..., 1] = 0.0
 
 
 class TestChangeStatistic:
@@ -142,7 +193,7 @@ class TestChangeStatistic:
         net = random_graph(rng, n, 0.4)
         covs = make_covs(rng, n)
         eff = EffectSpec("simX", "ac")
-        contrib, _ = dyadic_contribution(eff, covs, 0)
+        contrib = dyadic_contribution(eff, covs, 0)
         for i in range(n):
             for j in range(n):
                 if i == j:

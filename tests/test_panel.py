@@ -124,6 +124,19 @@ class TestCovariates:
         assert cov.grand_mean == 2.0
         assert cov.value_range == 2.0
 
+    def test_similarity_mean_matches_pairs(self, rng):
+        vals = rng.random((7, 3))
+        vals[[0, 5], 0] = np.nan
+        vals[3, 2] = np.nan
+        cov = ActorCovariate("c", vals)
+        span = np.nanmax(vals) - np.nanmin(vals)
+        sims = [1.0 - abs(vals[i, p] - vals[j, p]) / span
+                for p in range(3) for i in range(7) for j in range(i + 1, 7)
+                if not np.isnan(vals[i, p]) and not np.isnan(vals[j, p])]
+        assert len(sims) == 10 + 21 + 15
+        assert cov.similarity_mean == pytest.approx(np.mean(sims), rel=1e-12)
+        assert ActorCovariate("k", np.full((4, 2), 3.0)).similarity_mean == 1.0
+
     def test_log1p_transform(self):
         cov = ActorCovariate.from_raw("c", [[0.0], [np.e - 1]], transform="log1p")
         assert np.allclose(cov.values[:, 0], [0.0, 1.0])
