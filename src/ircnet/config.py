@@ -65,15 +65,27 @@ def _effects(text):
     return tuple(out)
 
 
-def _covariates(text):
-    """'name:path' or 'name:path:transform' items, as (name, path, transform)."""
+def _covariates(text, reserved=()):
+    """'name:path' or 'name:path:transform' items, as (name, path, transform);
+    each name once, and none of `reserved`."""
     out = []
     for item in filter(None, map(str.strip, text.split(","))):
         parts = item.split(":")
         if len(parts) not in (2, 3):
             raise ValueError(f"bad covariate entry {item!r}")
+        name = parts[0]
+        if name in reserved:
+            raise ValueError(f"covariate name {name!r} is reserved for the "
+                             "network degree")
+        if any(name == seen for seen, _, _ in out):
+            raise ValueError(f"covariate name {name!r} is given twice")
         out.append(tuple(parts) if len(parts) == 3 else (*parts, "none"))
     return tuple(out)
+
+
+def _actor_covariates(text):
+    # GraphML export writes each node's network degree under `degree`
+    return _covariates(text, reserved=("degree",))
 
 
 # key -> (parser of the value text, default when the key is absent). None for
@@ -90,7 +102,7 @@ KEYS = {
     "panel": (str, None),
     "outdir": (str, "out"),
     "effects": (_effects, (EffectSpec("density"),)),
-    "actor_covariates": (_covariates, ()),
+    "actor_covariates": (_actor_covariates, ()),
     "dyad_covariates": (_covariates, ()),
     "model_type": (str, "forcing"),
     "seed": (_seed, EstimationOptions.seed),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 import networkx as nx
@@ -192,21 +193,31 @@ def read_binary_edgelist(path, actors, years=None) -> BinaryNetSeries:
 
 
 def read_actor_covariate(path, name, actors, years, transform="none") -> ActorCovariate:
-    """Long-format `iso3,year,value`; absent (actor, year) rows are missing.
+    """Long-format `iso3,year,value`; absent (actor, year) rows and empty
+    values are missing.
 
     Rows of actors outside the set, the `iso3` header among them, and of
-    years outside `years` are skipped."""
+    years outside `years` are skipped. A second row for one (actor, year)
+    or a value that is not finite is an error naming its line."""
     vals = np.full((actors.n, len(years)), np.nan)
     year_idx = {y: m for m, y in enumerate(years)}
+    seen = {}   # (actor, year) -> line
     for lineno, row in _rows(path):
         if row[0] not in actors:
             continue
         try:
-            year, value = int(row[1]), row[2]
-            if year in year_idx and value != "":
-                vals[actors.index(row[0]), year_idx[year]] = float(value)
+            year, cell = int(row[1]), row[2]
+            value = float(cell) if cell else np.nan
         except (IndexError, ValueError) as exc:
             raise _row_error(path, lineno, row, exc) from None
+        if cell and not math.isfinite(value):
+            raise FileFormatError(f"{path}:{lineno}: value {cell!r} is not finite")
+        first = seen.setdefault((row[0], year), lineno)
+        if first != lineno:
+            raise FileFormatError(f"{path}:{lineno}: a second row for "
+                                  f"{row[0]} in {year}; the first is line {first}")
+        if year in year_idx:
+            vals[actors.index(row[0]), year_idx[year]] = value
     return ActorCovariate.from_raw(name, vals, transform=transform)
 
 
@@ -232,6 +243,10 @@ def read_dyad_matrix(path, name, actors, transform="none") -> DyadCovariate:
             values.append([float(cell) for cell in row[1:]])
         except (KeyError, ValueError) as exc:
             raise _row_error(path, lineno, row, exc) from None
+        if not all(map(math.isfinite, values[-1])):
+            cell = next(c for c, v in zip(row[1:], values[-1])
+                        if not math.isfinite(v))
+            raise FileFormatError(f"{path}:{lineno}: value {cell!r} is not finite")
     for where, present, at in (("column", cols, f":{lineno_header}"),
                                ("row", labels, "")):
         missing = sorted(set(range(actors.n)) - set(present))
@@ -244,21 +259,72 @@ def read_dyad_matrix(path, name, actors, transform="none") -> DyadCovariate:
     return DyadCovariate.from_raw(name, mat, transform=transform)
 
 
+def _xml_attr(text):
+    """`text` as an XML attribute value, escaped as ElementTree escapes it."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace('"', "&quot;")
+            .replace("\r", "&#13;").replace("\n", "&#10;")
+            .replace("\t", "&#09;"))
+
+
+def _xml_text(text):
+    """`text` as XML character data, escaped as ElementTree escapes it."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+_GRAPHML_HEAD = (
+    "<?xml version='1.0' encoding='utf-8'?>\n"
+    '<graphml xmlns="http://graphml.graphdrawing.org/xmlns" '
+    'xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" '
+    'xsi:schemaLocation="http://graphml.graphdrawing.org/xmlns '
+    'http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd">\n')
+
+
 def export_graphml(net: BinaryNetwork, path, node_attrs=None, meta=None):
-    """One GraphML file per wave with numeric node attributes."""
-    g = nx.Graph()
-    for k, v in sorted((meta or {}).items()):
-        g.graph[k] = str(v)
-    ids = net.actors.ids
-    for i, iso3 in enumerate(ids):
-        attrs = {"degree": int(net.x[i].sum())}
-        for name, vec in sorted((node_attrs or {}).items()):
-            attrs[name] = float(vec[i])
-        g.add_node(iso3, **attrs)
+    """One GraphML file per wave: the sorted `meta` as graph data, and per
+    node its `degree` and the `node_attrs` values (sorted by name; one named
+    `degree` takes the degree's place).
+
+    The bytes are those networkx's ElementTree writer (`write_graphml_xml`)
+    writes for the graph with these nodes, ties and data: key ids in
+    first-use order, keys written highest id first, floats as `repr`, a
+    meta key `id` as the graph's id attribute."""
+    graph = {str(k): str(v) for k, v in sorted((meta or {}).items())}
+    graph_id = graph.pop("id", None)
+    columns = {"degree": ("long", net.x.sum(axis=1, dtype=np.int64).tolist())}
+    for name, vec in sorted((node_attrs or {}).items()):
+        columns[name] = ("double", np.asarray(vec, dtype=float).tolist())
+    if not net.actors.n:    # a key is written only if some element uses it
+        columns = {}
+    keys = ([(k, "graph", "string") for k in graph]
+            + [(name, "node", kind) for name, (kind, _) in columns.items()])
+    ids = [_xml_attr(a) for a in net.actors.ids]
+    # `%s` writes an int as str and a float as repr
+    node = ('    <node id="%s">\n'
+            + "".join(f'      <data key="d{k}">%s</data>\n'
+                      for k in range(len(graph), len(keys)))
+            + "    </node>\n")
+    body = [node % (i, *row) for i, row in
+            zip(ids, zip(*(values for _, values in columns.values())))]
     ii, jj = np.nonzero(np.triu(net.x, k=1))
-    for i, j in zip(ii, jj):
-        g.add_edge(ids[i], ids[j])
-    nx.write_graphml(g, path)
+    body.extend(f'    <edge source="{ids[i]}" target="{ids[j]}" />\n'
+                for i, j in zip(ii.tolist(), jj.tolist()))
+    # ElementTree writes an element without text or children as `<x />`
+    body.extend(f'    <data key="d{k}">{_xml_text(v)}</data>\n' if v
+                else f'    <data key="d{k}" />\n'
+                for k, v in enumerate(graph.values()))
+    tag = '<graph edgedefault="undirected"' + (
+        "" if graph_id is None else f' id="{_xml_attr(graph_id)}"')
+    text = "".join([
+        _GRAPHML_HEAD,
+        *(f'  <key id="d{k}" for="{scope}" attr.name="{_xml_attr(name)}" '
+          f'attr.type="{kind}" />\n'
+          for k, (name, scope, kind) in reversed(list(enumerate(keys)))),
+        *([f"  {tag}>\n", *body, "  </graph>\n"] if body else [f"  {tag} />\n"]),
+        "</graphml>\n"])
+    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace",
+              newline="\n") as fh:
+        fh.write(text)
 
 
 def import_graphml(path, actors) -> BinaryNetwork:

@@ -60,7 +60,13 @@ class ArticleRecord:
             if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
                 raise IngestError(f"record {obj['id']}: {key} must be a list of "
                                   f"strings, got {obj[key]!r}")
-        return cls(str(obj["id"]), int(obj["year"]), domains, obj["affiliations"])
+        year = obj["year"]
+        if isinstance(year, str) and year.isascii() and year.isdigit():
+            year = int(year)
+        if type(year) is not int:   # a bool is an int, but not a year
+            raise IngestError(f"record {obj['id']}: year must be an integer, "
+                              f"got {year!r}")
+        return cls(str(obj["id"]), year, domains, obj["affiliations"])
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,13 @@ import pytest
 
 from ircnet.backbone import disparity_scores
 from ircnet.cli import main
-from ircnet.config import KEYS
+from ircnet.config import KEYS, RunConfig
 from ircnet.estimate import DivergenceError, EstimationResult
-from ircnet.fileio import (import_graphml, read_actor_set,
+from ircnet.fileio import (FileFormatError, export_graphml, import_graphml,
+                           read_actor_covariate, read_actor_set,
                            read_binary_edgelist, read_weighted_edgelist,
                            write_result_json)
+from ircnet.panel import ActorSet, BinaryNetwork
 
 ACTORS = ("CHN", "DEU", "FRA", "JPN", "NLD", "USA")
 NAMES = {"CHN": "Peoples R China", "DEU": "Germany", "FRA": "France",
@@ -511,6 +513,24 @@ class TestResultFile:
                 assert type(got) is type(want) and got == want
 
 
+def networkx_graphml(net, path, node_attrs=None, meta=None):
+    """The oracle of `export_graphml`: the graph it once built for networkx,
+    written by networkx's ElementTree writer, which lxml cannot replace."""
+    import networkx as nx
+    g = nx.Graph()
+    for k, v in sorted((meta or {}).items()):
+        g.graph[k] = str(v)
+    ids = net.actors.ids
+    for i, iso3 in enumerate(ids):
+        attrs = {"degree": int(net.x[i].sum())}
+        for name, vec in sorted((node_attrs or {}).items()):
+            attrs[name] = float(vec[i])
+        g.add_node(iso3, **attrs)
+    for i, j in zip(*np.nonzero(np.triu(net.x, k=1))):
+        g.add_edge(ids[i], ids[j])
+    nx.write_graphml_xml(g, path)
+
+
 class TestExport:
     def test_graphml_round_trip(self, pipeline):
         root, _ = pipeline
@@ -521,6 +541,49 @@ class TestExport:
             path = os.path.join(root, "out", f"wave_ST_{net.year}.graphml")
             back = import_graphml(path, actors)
             assert np.array_equal(back.x, net.x)
+
+    def assert_oracle_bytes(self, tmp_path, net, node_attrs=None, meta=None):
+        want, got = tmp_path / "oracle.graphml", tmp_path / "export.graphml"
+        networkx_graphml(net, want, node_attrs, meta)
+        export_graphml(net, got, node_attrs, meta)
+        assert read_bytes(got) == read_bytes(want)
+
+    def test_pipeline_waves_match_networkx_writer(self, pipeline, tmp_path):
+        root, cfg = pipeline
+        meta = RunConfig.load(cfg).meta()
+        actors = read_actor_set(os.path.join(root, "actors.txt"))
+        panel = read_binary_edgelist(
+            os.path.join(root, "out", "backbone_ST.csv"), actors, list(YEARS))
+        for m, net in enumerate(panel):
+            want = tmp_path / f"oracle_{net.year}.graphml"
+            networkx_graphml(net, want, meta=meta)
+            assert read_bytes(os.path.join(
+                root, "out", f"wave_ST_{net.year}.graphml")) == read_bytes(want)
+            degree = net.x.sum(axis=1)
+            covs = {"gdp": np.log1p(degree + m) / 3,
+                    "acfree": np.where(degree > 1, degree * 0.1, np.nan)}
+            self.assert_oracle_bytes(tmp_path, net, covs, meta)
+
+    def test_markup_and_odd_numbers_match_networkx_writer(self, tmp_path):
+        ids = ('A&B', 'C<D>', 'E"F', "G'H", "Ünïcødé", "tab\tcr\rlf\n")
+        x = np.ones((6, 6), dtype=np.int8) - np.eye(6, dtype=np.int8)
+        x[0, 3] = x[3, 0] = 0
+        net = BinaryNetwork(ActorSet(ids), 2000, x)
+        covs = {'x&<>"\'é': np.array([np.nan, -0.0, 1e300, 1 / 3, 2.0, -7.5]),
+                "Größe": np.arange(6)}
+        # text escapes no quote, so a `"` in a meta value stays as it is
+        meta = {'k&<>"\'ü': 'v&<>"\'ü', "quote": 'say "hi"', "seed": 7,
+                "empty": "", "id": 'g"1', "lines": "a\r\nb\tc"}
+        self.assert_oracle_bytes(tmp_path, net, covs, meta)
+        assert 'say "hi"</data>' in (tmp_path / "export.graphml").read_text(
+            encoding="utf-8")
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_no_meta_no_covariates_match_networkx_writer(self, tmp_path, rng, n):
+        x = np.triu(rng.random((n, n)) < 0.5, 1).astype(np.int8)
+        net = BinaryNetwork(ActorSet(tuple(f"N{i}" for i in range(n))), 2000,
+                            x + x.T)
+        self.assert_oracle_bytes(tmp_path, net)
 
 
 def _dyad_lines():
@@ -558,6 +621,14 @@ MALFORMED = [
                  id="actor-value"),
     pytest.param("actor", "iso3,year,value\nCHN,2000\n", 2,
                  id="actor-row-short"),
+    pytest.param("actor", "iso3,year,value\nCHN,2000,1\nDEU,2000,inf\n", 3,
+                 id="actor-inf"),
+    pytest.param("actor", "iso3,year,value\nCHN,2000,1\nDEU,2001,NaN\n", 3,
+                 id="actor-nan"),
+    pytest.param("actor", "iso3,year,value\nCHN,2000,1\nDEU,2000,2\n"
+                 "CHN,2000,5\n", 4, id="actor-repeated-row"),
+    pytest.param("dyad", _dyad_text(3, "DEU,nan,0,1,1,1,1"), 3, id="dyad-nan"),
+    pytest.param("dyad", _dyad_text(5, "JPN,1,1,1,0,1,-inf"), 5, id="dyad-inf"),
     pytest.param("dictionary", "# policy=drop\nJapan\tJPN\nAtlantis\n", 3,
                  id="dictionary-line"),
 ]
@@ -662,6 +733,8 @@ class TestExitCodes:
         '{"year": 2000, "affiliations": ["Japan"]}',
         '{"id": "p2", "affiliations": ["Japan"]}',
         '{"id": "p2", "year": 2000}',
+        '{"id": "p2", "year": 2000.7, "affiliations": ["Japan"]}',
+        '{"id": "p2", "year": true, "affiliations": ["Japan"]}',
     ])
     def test_malformed_record(self, tmp_path, capsys, bad):
         root = str(tmp_path)
@@ -739,6 +812,44 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["estimate", cfg]) == 1
         assert str(dist) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,entries,name", [
+        ("actor_covariates", "degree:{ac}", "degree"),
+        ("actor_covariates", "ac:{ac},gdp:{ac},ac:{ac}:log1p", "ac"),
+        ("dyad_covariates", "dist:{dist},dist:{dist}", "dist"),
+    ])
+    def test_colliding_covariate_names(self, tmp_path, capsys, key, entries,
+                                       name):
+        """A name given twice, or an actor covariate named `degree`, which
+        export writes the network degree under, exits 1 naming the key."""
+        root = str(tmp_path)
+        write_fixtures(root, random_records(16))
+        ac, dist = tmp_path / "ac.csv", tmp_path / "dist.csv"
+        ac.write_text("iso3,year,value\nCHN,2000,7.5\n")
+        dist.write_text("\n".join(_dyad_lines()) + "\n")
+        panel = tmp_path / "panel.csv"
+        panel.write_text("year,iso3_a,iso3_b\n2000,CHN,DEU\n2001,DEU,FRA\n")
+        cfg = write_config(root, extra=f"panel = {panel}\n{key} = "
+                           + entries.format(ac=ac, dist=dist) + "\n")
+        assert main(["export" if key == "actor_covariates" else "estimate",
+                     cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err and f"covariate name {name!r}" in err
+
+    def test_repeated_covariate_row_names_both_lines(self, tmp_path):
+        path = tmp_path / "ac.csv"
+        path.write_text("iso3,year,value\nCHN,2000,1\nDEU,2000,2\n"
+                        "CHN,2000,5\n")
+        with pytest.raises(FileFormatError) as err:
+            read_actor_covariate(path, "ac", ActorSet(ACTORS), list(YEARS))
+        assert str(err.value) == (f"{path}:4: a second row for CHN in 2000; "
+                                  "the first is line 2")
+
+    def test_empty_covariate_cell_is_missing(self, tmp_path):
+        path = tmp_path / "ac.csv"
+        path.write_text("iso3,year,value\nCHN,2000,\nCHN,2001,3\n")
+        cov = read_actor_covariate(path, "ac", ActorSet(ACTORS), list(YEARS))
+        assert np.isnan(cov.values[0, 0]) and cov.values[0, 1] == 3.0
 
     def test_unparseable_years(self, tmp_path, capsys):
         root = str(tmp_path)

@@ -144,6 +144,20 @@ class TestAggregate:
         with pytest.raises(IngestError):
             rec("1", 2000, [])
 
+    @pytest.mark.parametrize("year", ["2001", '"2001"'])
+    def test_year_is_an_int_or_its_decimal_text(self, year):
+        line = f'{{"id": "r", "year": {year}, "affiliations": ["X"]}}'
+        assert ArticleRecord.from_json(line).year == 2001
+
+    @pytest.mark.parametrize("year", ["2000.7", "2001.0", "true", "false",
+                                      "null", '"2001.0"', '" 2001"', '"MMI"',
+                                      "[2001]"])
+    def test_year_that_is_not_an_int_rejected(self, year):
+        line = f'{{"id": "r", "year": {year}, "affiliations": ["X"]}}'
+        with pytest.raises(IngestError, match="record r: year must be an "
+                                              "integer"):
+            ArticleRecord.from_json(line)
+
     def test_series_scans_each_record_once(self, monkeypatch):
         # the series equals a per-year `aggregate` over every record, and
         # its `aggregate` calls see each record once between them
