@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields
 
-from .effects import EffectSpec
+from .effects import MODEL_TYPES, EffectSpec
 from .estimate import EstimationOptions, OptionRangeError
 from .fileio import text_lines
 
@@ -36,6 +36,19 @@ def _threads(text):
     if threads < 1:
         raise ValueError("a thread count must be >= 1")
     return threads
+
+
+def _alpha(text):
+    alpha = float(text)
+    if not 0 < alpha <= 1:
+        raise ValueError("an alpha level must be in (0, 1]")
+    return alpha
+
+
+def _model_type(text):
+    if text not in MODEL_TYPES:
+        raise ValueError("expected " + " or ".join(MODEL_TYPES))
+    return text
 
 
 def _flag(text):
@@ -70,7 +83,7 @@ def _covariates(text, reserved=()):
     each name once, and none of `reserved`."""
     out = []
     for item in filter(None, map(str.strip, text.split(","))):
-        parts = item.split(":")
+        parts = [part.strip() for part in item.split(":")]
         if len(parts) not in (2, 3):
             raise ValueError(f"bad covariate entry {item!r}")
         name = parts[0]
@@ -96,7 +109,7 @@ KEYS = {
     "dictionary": (str, REQUIRED),
     "years": (_years, None),                   # None: the records' years
     "domain": (str, "unclassified"),
-    "alpha": (float, 0.05),
+    "alpha": (_alpha, 0.05),
     "alpha_column": (_flag, False),
     "weighted": (str, None),
     "panel": (str, None),
@@ -104,7 +117,7 @@ KEYS = {
     "effects": (_effects, (EffectSpec("density"),)),
     "actor_covariates": (_actor_covariates, ()),
     "dyad_covariates": (_covariates, ()),
-    "model_type": (str, "forcing"),
+    "model_type": (_model_type, "forcing"),
     "seed": (_seed, EstimationOptions.seed),
     "threads": (_threads, 1),
     "n1": (int, EstimationOptions.n1),

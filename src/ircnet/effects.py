@@ -29,6 +29,9 @@ ALL_KINDS = STRUCTURAL_KINDS + ACTOR_COV_KINDS + DYAD_COV_KINDS
 # kinds whose change rows read the network; every other kind's rows are
 # fixed for a given period, so the simulator folds them (`simulate.Lanes`)
 NETWORK_KINDS = ("gwesp", "degPlus")
+# tie-change rules: the chooser's toggle is imposed, or a new tie needs the
+# partner's consent
+MODEL_TYPES = ("forcing", "pairwise-conjunctive")
 # gwesp's decay a (RSiena's default parameter 69): each extra shared partner
 # adds half the previous increment
 GWESP_DECAY = math.log(2.0)
@@ -77,7 +80,7 @@ class ModelSpec:
         effects = tuple(self.effects)
         if not any(e.kind == "density" for e in effects):
             raise EffectError("model must include the density effect")
-        if self.model_type not in ("forcing", "pairwise-conjunctive"):
+        if self.model_type not in MODEL_TYPES:
             raise EffectError(f"unknown model type {self.model_type!r}")
         object.__setattr__(self, "effects", effects)
         if self.beta is not None:
@@ -97,15 +100,16 @@ class ModelSpec:
 
 
 def _covariate(effect, covs: CovariateSet):
-    """The covariate a covariate effect reads; a missing one names the effect
-    and the config key that sets it."""
+    """The covariate a covariate effect reads from `covs` (None: a set with
+    no covariates); a missing one names the effect and the config key that
+    sets it."""
     dyadic = effect.kind in DYAD_COV_KINDS
-    try:
-        return (covs.dyad if dyadic else covs.actor)[effect.covariate]
-    except KeyError:
+    named = {} if covs is None else (covs.dyad if dyadic else covs.actor)
+    if effect.covariate not in named:
         key = "dyad_covariates" if dyadic else "actor_covariates"
         raise EffectError(f"effect {effect.label}: covariate "
                           f"{effect.covariate!r} not provided; set it in {key}")
+    return named[effect.covariate]
 
 
 def dyadic_contribution(effect: EffectSpec, covs: CovariateSet, period: int):
@@ -204,17 +208,16 @@ class NetState:
     axis, with their degrees, both kept up to date by `toggle` in O(1) work
     per lane. One network is a state of one lane.
 
-    x: (L, n, n) int8 adjacency. deg: (L, n) int16 degrees, not recounted
-    when given. Shared partners are not kept: gwesp counts them on the rows
-    of x. The arrays are taken as given where their types allow, so a state
-    of a read-only network cannot be toggled.
+    x: (L, n, n) int8 adjacency. deg: (L, n) int16 degrees, counted from
+    x. Shared partners are not kept: gwesp counts them on the rows of x. x
+    is taken as given where its type allows, so a state of a read-only
+    network cannot be toggled.
     """
 
-    def __init__(self, x, deg=None):
+    def __init__(self, x):
         x = np.asarray(x, dtype=np.int8)
         self.x = x[None] if x.ndim == 2 else x
-        self.deg = np.asarray(self.x.sum(axis=2) if deg is None else deg,
-                              dtype=np.int16)
+        self.deg = self.x.sum(axis=2, dtype=np.int16)
 
     def toggle(self, lanes, i, j):
         """In lane lanes[r], add tie (i[r], j[r]) if absent, else remove it."""

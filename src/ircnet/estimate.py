@@ -21,8 +21,7 @@ from scipy.stats import norm as _norm
 from .effects import ModelSpec, target_statistics
 from .panel import BinaryNetSeries, CovariateSet, hamming
 from .simulate import (Task, panel_results, panel_stats, panel_tasks,
-                       period_streams, simulate_panel, simulate_period,
-                       start_states)
+                       period_streams, simulate_panel, simulate_period)
 
 RATE_FLOOR = 0.01
 INITIAL_RATE_FALLBACK = 0.5
@@ -155,7 +154,7 @@ def initialize(panel: BinaryNetSeries, model: ModelSpec,
 
 
 def phase1_derivative(theta, panel, model, covs, options: EstimationOptions,
-                      rng=None, check=True, starts=None, draws=()):
+                      rng=None, check=True, draws=()):
     """Monte Carlo estimate of d E[S] / d theta from n1 panel replicates.
 
     Rate m's column is a finite difference with common random numbers: the
@@ -171,8 +170,7 @@ def phase1_derivative(theta, panel, model, covs, options: EstimationOptions,
     per-step conditional covariances, estimates Cov(G) = E[G G'] without
     the regression's sampling noise. With fewer replicates each effect
     column is a finite difference like the rates', re-simulating every
-    period. All replicates and columns run as one batch. `starts` are
-    `start_states(panel)`, if the caller has them.
+    period. All replicates and columns run as one batch.
 
     `draws` are other tasks to run in the same batch, ahead of the
     derivative's own: panel simulations at theta (`panel_tasks`), whose
@@ -183,7 +181,6 @@ def phase1_derivative(theta, panel, model, covs, options: EstimationOptions,
     if rng is None:
         rng = np.random.default_rng(options.seed)
     n_periods = panel.n_waves - 1
-    starts = starts or start_states(panel)
     p = len(theta)
     q = p - n_periods
     n1 = options.n1
@@ -205,7 +202,7 @@ def phase1_derivative(theta, panel, model, covs, options: EstimationOptions,
     tasks = list(draws)
     for _ in range(n1):
         streams = period_streams(rng, n_periods)
-        tasks += [Task(starts[m], mdl, m, streams[m]) for mdl, m in layout]
+        tasks += [Task(panel.wave(m), mdl, m, streams[m]) for mdl, m in layout]
     k = len(draws)
     asks = [False] * k + [True] * (len(tasks) - k) if by_score else False
     totals, changed, ends, *scores = simulate_period(tasks, covs=covs,
@@ -243,7 +240,7 @@ def phase1_derivative(theta, panel, model, covs, options: EstimationOptions,
 
 
 def phase2_update(theta, deriv, panel, model, covs, options: EstimationOptions,
-                  rng=None, starts=None, first=None):
+                  rng=None, first=None):
     """Robbins-Monro iterations over halving-gain subphases.
 
     Within a subphase: theta <- theta - a * D^-1 (S_sim - s_obs), one
@@ -260,7 +257,6 @@ def phase2_update(theta, deriv, panel, model, covs, options: EstimationOptions,
     if rng is None:
         rng = np.random.default_rng(options.seed)
     n_periods = panel.n_waves - 1
-    starts = starts or start_states(panel)
     s_obs = observed_targets(panel, model, covs)
     d_inv = np.linalg.pinv(deriv)
     p = len(theta)
@@ -275,7 +271,7 @@ def phase2_update(theta, deriv, panel, model, covs, options: EstimationOptions,
         for it in range(cap):
             if first is None:
                 stats = simulate_panel(panel, _with_theta(model, theta, n_periods),
-                                       covs, rng, starts)[0][0]
+                                       covs, rng)[0][0]
             else:
                 stats, first = first, None
             dev = stats - s_obs
@@ -297,7 +293,7 @@ def phase2_update(theta, deriv, panel, model, covs, options: EstimationOptions,
 
 
 def phase3_finalize(theta_hat, panel, model, covs, options: EstimationOptions,
-                    rng=None, iterations=0, starts=None) -> EstimationResult:
+                    rng=None, iterations=0) -> EstimationResult:
     """Simulate at the fixed estimate; derive SEs and convergence diagnostics.
 
     The n3 draws and the derivative run as one batch: the draws' streams
@@ -305,13 +301,12 @@ def phase3_finalize(theta_hat, panel, model, covs, options: EstimationOptions,
     if rng is None:
         rng = np.random.default_rng(options.seed)
     n_periods = panel.n_waves - 1
-    starts = starts or start_states(panel)
     s_obs = observed_targets(panel, model, covs)
     p = len(theta_hat)
     draws = panel_tasks(panel, _with_theta(model, theta_hat, n_periods), rng,
-                        starts, options.n3)
+                        options.n3)
     deriv, drawn = phase1_derivative(theta_hat, panel, model, covs, options,
-                                     rng, False, starts, draws)
+                                     rng, False, draws)
     stats, finals = panel_results(panel, *drawn)
     sigma = np.cov(stats, rowvar=False)
     sigma = np.atleast_2d(sigma)
@@ -348,7 +343,7 @@ def phase3_finalize(theta_hat, panel, model, covs, options: EstimationOptions,
     )
 
 
-def _fit(theta, panel, model, covs, options: EstimationOptions, rngs, starts,
+def _fit(theta, panel, model, covs, options: EstimationOptions, rngs,
          iterations=0, check=False) -> EstimationResult:
     """Phases 1-3 from `theta`; the result's iterations include `iterations`.
 
@@ -357,23 +352,23 @@ def _fit(theta, panel, model, covs, options: EstimationOptions, rngs, starts,
     times n1 on the same first-iteration tasks, so rng2 is drawn once."""
     rng1, rng2, rng3 = rngs
     first = panel_tasks(panel, _with_theta(model, theta, panel.n_waves - 1),
-                        rng2, starts)
+                        rng2)
     for attempt in range(3):
         try:
             # noise can make a small-n1 derivative estimate singular;
             # retry with more replicates before giving up on the model
             opts1 = replace(options, n1=options.n1 * 2 ** attempt)
             deriv, drawn = phase1_derivative(theta, panel, model, covs, opts1,
-                                             rng1, check, starts, first)
+                                             rng1, check, first)
             break
         except SingularDerivativeError:
             if attempt == 2:
                 raise
     stats = panel_results(panel, *drawn)[0][0]
     theta_hat, iters = phase2_update(theta, deriv, panel, model, covs, options,
-                                     rng2, starts, stats)
+                                     rng2, stats)
     return phase3_finalize(theta_hat, panel, model, covs, options, rng3,
-                           iterations + iters, starts)
+                           iterations + iters)
 
 
 def estimate(panel: BinaryNetSeries, model: ModelSpec, covs: CovariateSet = None,
@@ -382,18 +377,16 @@ def estimate(panel: BinaryNetSeries, model: ModelSpec, covs: CovariateSet = None
     convergence ratio exceeds `t_max`, phases 1-3 rerun from the estimate,
     at most RESTARTS times; a rerun is kept only if its ratio is lower."""
     options = options or EstimationOptions()
-    covs = covs or CovariateSet()
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(options.seed).spawn(3)]
     theta0 = initialize(panel, model, covs)
-    starts = start_states(panel)
-    result = _fit(theta0, panel, model, covs, options, rngs, starts, check=True)
+    result = _fit(theta0, panel, model, covs, options, rngs, check=True)
     for _ in range(RESTARTS):
         if result.conv_ratio <= options.t_max:
             break
         try:
             candidate = _fit(result.theta, panel, model, covs, options, rngs,
-                             starts, result.iterations)
+                             result.iterations)
         except DivergenceError:
             break
         if candidate.conv_ratio >= result.conv_ratio:

@@ -66,6 +66,15 @@ def _row_error(path, lineno, row, exc):
     return FileFormatError(f"{path}:{lineno}: {what}")
 
 
+def _once(lines, key, path, lineno, what):
+    """Note `key` at `lineno` in `lines` (key -> line); a key noted before
+    is an error naming both lines."""
+    first = lines.setdefault(key, lineno)
+    if first != lineno:
+        raise FileFormatError(f"{path}:{lineno}: a second {what}; the first "
+                              f"is line {first}")
+
+
 def _meta_text(meta, notes=()):
     """`# key=value` lines: the sorted `meta`, then `notes`."""
     return "".join(f"# {k}={v}\n"
@@ -85,7 +94,12 @@ def write_table(path, header, rows, meta=None, notes=()):
 
 
 def read_actor_set(path) -> ActorSet:
-    return ActorSet(tuple(row[0].strip() for _, row in _rows(path)))
+    """The first field of each data line, each label once."""
+    lines = {}   # label -> line
+    for lineno, row in _rows(path):
+        label = row[0].strip()
+        _once(lines, label, path, lineno, f"line for actor {label!r}")
+    return ActorSet(tuple(lines))
 
 
 def read_records(path):
@@ -100,9 +114,11 @@ def read_records(path):
 
 
 def read_dictionary(path) -> DisambiguationDictionary:
-    """Two-column delimited raw-name -> ISO3; optional '# policy=...' header."""
+    """Two-column delimited raw-name -> ISO3; optional '# policy=...' header.
+    An empty name or code, or a name given twice, is an error naming its
+    line (and the first)."""
     policy = "drop"
-    mapping = {}
+    mapping, lines = {}, {}   # raw name -> code, and -> line
     for lineno, ln in enumerate(text_lines(path), 1):
         ln = ln.rstrip("\n")
         if not ln.strip():
@@ -115,11 +131,13 @@ def read_dictionary(path) -> DisambiguationDictionary:
                     raise FileFormatError(f"{path}:{lineno}: expected '# policy=drop'"
                                           f" or '# policy=error', got {ln!r}")
             continue
-        parts = ln.split("\t") if "\t" in ln else ln.split(",", 1)
-        if len(parts) != 2:
+        parts = [part.strip() for part in
+                 (ln.split("\t") if "\t" in ln else ln.split(",", 1))]
+        if len(parts) != 2 or not all(parts):
             raise FileFormatError(f"{path}:{lineno}: expected a raw name and "
                                   f"an ISO3 code, got {ln!r}")
-        mapping[parts[0].strip()] = parts[1].strip()
+        _once(lines, parts[0], path, lineno, f"entry for {parts[0]!r}")
+        mapping[parts[0]] = parts[1]
     return DisambiguationDictionary(mapping, policy)
 
 
@@ -212,10 +230,7 @@ def read_actor_covariate(path, name, actors, years, transform="none") -> ActorCo
             raise _row_error(path, lineno, row, exc) from None
         if cell and not math.isfinite(value):
             raise FileFormatError(f"{path}:{lineno}: value {cell!r} is not finite")
-        first = seen.setdefault((row[0], year), lineno)
-        if first != lineno:
-            raise FileFormatError(f"{path}:{lineno}: a second row for "
-                                  f"{row[0]} in {year}; the first is line {first}")
+        _once(seen, (row[0], year), path, lineno, f"row for {row[0]} in {year}")
         if year in year_idx:
             vals[actors.index(row[0]), year_idx[year]] = value
     return ActorCovariate.from_raw(name, vals, transform=transform)
@@ -223,7 +238,8 @@ def read_actor_covariate(path, name, actors, years, transform="none") -> ActorCo
 
 def read_dyad_matrix(path, name, actors, transform="none") -> DyadCovariate:
     """Square matrix with ISO3 header row and leading label column; every
-    actor of the set needs a row and a column."""
+    actor of the set needs one row and one column, and the matrix must be
+    symmetric (`np.isclose`, as `DyadCovariate` checks it)."""
     rows = _rows(path)
     lineno_header, header = next(rows, (1, None))
     if header is None:
@@ -233,13 +249,18 @@ def read_dyad_matrix(path, name, actors, transform="none") -> DyadCovariate:
         cols = [actors.index(lbl) for lbl in header[1:]]
     except KeyError as exc:
         raise _row_error(path, lineno_header, header, exc) from None
-    labels, values = [], []
+    if len(set(cols)) < len(cols):   # columns count from 1, the labels' first
+        col = next(c for c, k in enumerate(cols) if k in cols[:c])
+        raise FileFormatError(f"{path}:{lineno_header}: column {col + 2} repeats "
+                              f"{header[col + 1]!r}, the label of column "
+                              f"{cols.index(cols[col]) + 2}")
+    lines, values = {}, []   # actor -> line of its row; the rows' values
     for lineno, row in rows:
         if len(row) != len(header):
             raise FileFormatError(f"{path}:{lineno}: expected {len(header)} "
                                   f"fields, got {len(row)}")
         try:
-            labels.append(actors.index(row[0]))
+            k = actors.index(row[0])
             values.append([float(cell) for cell in row[1:]])
         except (KeyError, ValueError) as exc:
             raise _row_error(path, lineno, row, exc) from None
@@ -247,15 +268,26 @@ def read_dyad_matrix(path, name, actors, transform="none") -> DyadCovariate:
             cell = next(c for c, v in zip(row[1:], values[-1])
                         if not math.isfinite(v))
             raise FileFormatError(f"{path}:{lineno}: value {cell!r} is not finite")
+        _once(lines, k, path, lineno, f"row for {row[0]!r}")
     for where, present, at in (("column", cols, f":{lineno_header}"),
-                               ("row", labels, "")):
+                               ("row", lines, "")):
         missing = sorted(set(range(actors.n)) - set(present))
         if missing:
             raise FileFormatError(
                 f"{path}{at}: no {where} for "
                 + ", ".join(actors.ids[k] for k in missing))
+    labels = list(lines)
     mat = np.zeros((actors.n, actors.n))
     mat[np.ix_(labels, cols)] = values
+    # the first cell in file order whose mirror cell differs
+    asym = np.argwhere(~np.isclose(mat, mat.T)[np.ix_(labels, cols)])
+    if asym.size:
+        r, c = asym[0]
+        i, j = labels[r], cols[c]
+        a, b = actors.ids[i], actors.ids[j]
+        raise FileFormatError(f"{path}:{lines[i]}: cell ({a}, {b}) is "
+                              f"{mat[i, j]:.10g} but cell ({b}, {a}) is "
+                              f"{mat[j, i]:.10g}; the matrix must be symmetric")
     return DyadCovariate.from_raw(name, mat, transform=transform)
 
 

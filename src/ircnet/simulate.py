@@ -9,7 +9,7 @@ pairwise-conjunctive rule tie creation additionally requires the partner
 to agree (logistic in the partner's own objective change), dissolution is
 unilateral.
 
-A simulated period is an independent `Task`: a start state, a model, a
+A simulated period is an independent `Task`: a start network, a model, a
 period and a random stream. Tasks run as lanes of a lockstep kernel: one
 `ministep` call advances every unfinished lane by one ministep with one
 numpy call per operation. Each lane reads its own stream in blocks of
@@ -47,23 +47,18 @@ class SimulationError(RuntimeError):
 class Task:
     """One period to simulate.
 
-    start: a one-lane `NetState`, shared by every task that starts there.
-    stream: a `SeedSequence`, seed or `Generator` (anything
-    `np.random.default_rng` takes). Tasks built from one SeedSequence read
-    the same numbers. keep_end: return the end network.
+    start: the `BinaryNetwork` the period starts from (in a panel, its
+    observed wave); the lane counts its degrees from it. stream: a
+    `SeedSequence`, seed or `Generator` (anything `np.random.default_rng`
+    takes). Tasks built from one SeedSequence read the same numbers.
+    keep_end: return the end network.
     """
 
-    start: NetState
+    start: BinaryNetwork
     model: ModelSpec
     period: int
     stream: object
     keep_end: bool = False
-
-
-def start_states(panel) -> list:
-    """The start state of every period of `panel`: its observed waves but
-    the last, each counted once."""
-    return [NetState(panel.wave(m).x) for m in range(panel.n_waves - 1)]
 
 
 def period_streams(rng, n_periods: int) -> list:
@@ -92,8 +87,7 @@ class Lanes(NetState):
         if any(t.model.effects != model.effects
                or t.model.model_type != model.model_type for t in tasks):
             raise SimulationError("the tasks of a batch must share effects and rule")
-        super().__init__(np.concatenate([t.start.x for t in tasks]),
-                         np.concatenate([t.start.deg for t in tasks]))
+        super().__init__(np.stack([t.start.x for t in tasks]))
         n = self.x.shape[-1]
         period = np.array([t.period for t in tasks])
         rate = np.array([t.model.rates[t.period] for t in tasks], dtype=float)
@@ -102,7 +96,6 @@ class Lanes(NetState):
         self.effects = model.effects
         self.conjunctive = model.model_type == "pairwise-conjunctive"
         self.beta = np.array([t.model.beta for t in tasks], dtype=float)
-        covs = covs or CovariateSet()
         self.contrib = {}   # effect index -> (its stack, each lane's layer)
         for k, eff in enumerate(self.effects):
             if eff.kind not in STRUCTURAL_KINDS:
@@ -302,7 +295,7 @@ def _run(tasks, covs, scores=False):
             end = state.x[lane]
             totals.append(effect_totals(state.effects, state, covs,
                                         task.period, lane))
-            changed.append(np.count_nonzero(end != task.start.x[0]) // 2)
+            changed.append(np.count_nonzero(end != task.start.x) // 2)
             ends.append(end.copy() if task.keep_end else None)
         del state   # its lanes go before the next chunk's are built
     if scores is False:
@@ -333,7 +326,7 @@ def simulate_period(start, model: ModelSpec = None, covs: CovariateSet = None,
         return _run(start, covs, scores)
     if rng is None:
         rng = np.random.default_rng(seed)
-    task = Task(NetState(start.x), model, period, rng, keep_end=True)
+    task = Task(start, model, period, rng, keep_end=True)
     totals, changed, ends = _run([task], covs)
     return (BinaryNetwork(start.actors, start.year, ends[0]), totals[0],
             int(changed[0]))
@@ -347,17 +340,15 @@ def panel_stats(changed, totals) -> np.ndarray:
     return np.concatenate([changed, totals.sum(axis=-2)], axis=-1)
 
 
-def panel_tasks(panel, model: ModelSpec, rng, starts=None, replicates=1):
+def panel_tasks(panel, model: ModelSpec, rng, replicates=1):
     """The tasks of `replicates` independent panel simulations, every period
     from its observed start wave: each replicate's periods in turn, on its
-    own `period_streams(rng, periods)`, drawn in turn. `starts`, if given,
-    are `start_states(panel)`, built once by the caller."""
+    own `period_streams(rng, periods)`, drawn in turn."""
     n_periods = panel.n_waves - 1
-    starts = starts or start_states(panel)
     last = n_periods - 1
     tasks = []
     for _ in range(replicates):
-        tasks += [Task(starts[m], model, m, stream, keep_end=m == last)
+        tasks += [Task(panel.wave(m), model, m, stream, keep_end=m == last)
                   for m, stream in enumerate(period_streams(rng, n_periods))]
     return tasks
 
@@ -376,8 +367,8 @@ def panel_results(panel, totals, changed, ends):
 
 
 def simulate_panel(panel, model: ModelSpec, covs: CovariateSet, rng,
-                   starts=None, replicates=1):
+                   replicates=1):
     """Simulate `replicates` independent panels as one batch: the tasks of
     `panel_tasks`, read back by `panel_results`."""
-    tasks = panel_tasks(panel, model, rng, starts, replicates)
+    tasks = panel_tasks(panel, model, rng, replicates)
     return panel_results(panel, *simulate_period(tasks, covs=covs))

@@ -18,7 +18,8 @@ from ircnet.config import KEYS, RunConfig
 from ircnet.estimate import DivergenceError, EstimationResult
 from ircnet.fileio import (FileFormatError, export_graphml, import_graphml,
                            read_actor_covariate, read_actor_set,
-                           read_binary_edgelist, read_weighted_edgelist,
+                           read_binary_edgelist, read_dictionary,
+                           read_dyad_matrix, read_weighted_edgelist,
                            write_result_json)
 from ircnet.panel import ActorSet, BinaryNetwork
 
@@ -601,6 +602,11 @@ def _dyad_text(lineno, line):
     return "\n".join(lines) + "\n"
 
 
+def _dyad_deu_twice():
+    """The matrix of `_dyad_lines` with its DEU column given again, last."""
+    return "".join(f"{line},{line.split(',')[2]}\n" for line in _dyad_lines())
+
+
 # (file kind, file text, line the error names)
 MALFORMED = [
     pytest.param("panel", "year,iso3_a,iso3_b\n2000,CHN\n", 2,
@@ -631,6 +637,19 @@ MALFORMED = [
     pytest.param("dyad", _dyad_text(5, "JPN,1,1,1,0,1,-inf"), 5, id="dyad-inf"),
     pytest.param("dictionary", "# policy=drop\nJapan\tJPN\nAtlantis\n", 3,
                  id="dictionary-line"),
+    pytest.param("dictionary", "Japan\tJPN\nFrance\tFRA\nJapan\tDEU\n", 3,
+                 id="dictionary-repeated-name"),
+    pytest.param("dictionary", "Japan\tJPN\n\tFRA\n", 2,
+                 id="dictionary-empty-name"),
+    pytest.param("dictionary", "# policy=drop\nJapan , \n", 2,
+                 id="dictionary-empty-code"),
+    pytest.param("actors", "CHN\nDEU\n# comment\nCHN\n", 4,
+                 id="actors-repeated"),
+    pytest.param("dyad", _dyad_text(4, "DEU,1,0,1,1,1,1"), 4,
+                 id="dyad-repeated-row"),
+    pytest.param("dyad", _dyad_deu_twice(), 1, id="dyad-repeated-column"),
+    pytest.param("dyad", _dyad_text(3, "DEU,1,0,2,1,1,1"), 3,
+                 id="dyad-asymmetric"),
 ]
 
 
@@ -845,6 +864,46 @@ class TestExitCodes:
         assert str(err.value) == (f"{path}:4: a second row for CHN in 2000; "
                                   "the first is line 2")
 
+    def test_repeated_actor_label_names_both_lines(self, tmp_path):
+        path = tmp_path / "actors.txt"
+        path.write_text("CHN\nDEU\n\nCHN\n")
+        with pytest.raises(FileFormatError) as err:
+            read_actor_set(path)
+        assert str(err.value) == (f"{path}:4: a second line for actor 'CHN'; "
+                                  "the first is line 1")
+
+    def test_repeated_dictionary_name_names_both_lines(self, tmp_path):
+        path = tmp_path / "dictionary.tsv"
+        path.write_text("# policy=drop\nLand A\tAAA\nLand B,BBB\n"
+                        "Land A\tBBB\n")
+        with pytest.raises(FileFormatError) as err:
+            read_dictionary(path)
+        assert str(err.value) == (f"{path}:4: a second entry for 'Land A'; "
+                                  "the first is line 2")
+
+    @pytest.mark.parametrize("text,message", [
+        (_dyad_text(4, "DEU,1,0,1,1,1,1"),
+         "4: a second row for 'DEU'; the first is line 3"),
+        (_dyad_deu_twice(), "1: column 8 repeats 'DEU', the label of column 3"),
+        (_dyad_text(5, "JPN,1,1,1,0,1,1.5"),
+         "5: cell (JPN, USA) is 1.5 but cell (USA, JPN) is 1; "
+         "the matrix must be symmetric"),
+    ], ids=["repeated-row", "repeated-column", "asymmetric"])
+    def test_dyad_matrix_names_its_file(self, tmp_path, text, message):
+        """A repeated row or column label, or a matrix that is not
+        symmetric, names the file and the lines or columns at fault."""
+        path = tmp_path / "dist.csv"
+        path.write_text(text)
+        with pytest.raises(FileFormatError) as err:
+            read_dyad_matrix(path, "dist", ActorSet(ACTORS))
+        assert str(err.value) == f"{path}:{message}"
+
+    def test_dyad_matrix_within_isclose_is_symmetric(self, tmp_path):
+        path = tmp_path / "dist.csv"
+        path.write_text(_dyad_text(3, "DEU,1,0,1.000000001,1,1,1"))
+        cov = read_dyad_matrix(path, "dist", ActorSet(ACTORS))
+        assert cov.values[1, 2] == 1.000000001
+
     def test_empty_covariate_cell_is_missing(self, tmp_path):
         path = tmp_path / "ac.csv"
         path.write_text("iso3,year,value\nCHN,2000,\nCHN,2001,3\n")
@@ -910,6 +969,40 @@ class TestExitCodes:
         assert main(["backbone", cfg]) == 1
         err = capsys.readouterr().err
         assert "'alpha_column'" in err and "'maybe'" in err
+
+    @pytest.mark.parametrize("key,value,command,flag", [
+        ("alpha", "2", "backbone", False), ("alpha", "0", "backbone", False),
+        ("alpha", "nan", "backbone", False), ("alpha", "2", "backbone", True),
+        ("model_type", "forcingg", "estimate", False)])
+    def test_alpha_and_model_type_name_the_key(self, tmp_path, capsys, key,
+                                               value, command, flag):
+        """An alpha outside (0, 1] or an unknown rule exits 1 naming the key."""
+        root = str(tmp_path)
+        write_fixtures(root, random_records(19))
+        panel = tmp_path / "panel.csv"
+        panel.write_text("year,iso3_a,iso3_b\n2000,CHN,DEU\n2001,DEU,FRA\n")
+        setting = f"panel = {panel}\n" + ("" if flag else f"{key} = {value}\n")
+        cfg = write_config(root, extra=setting)
+        assert main(["ingest", cfg]) == 0
+        assert main([command, cfg] + ([f"--{key}", value] if flag else [])) == 1
+        assert (f"config key {key!r}: {value!r} is not valid"
+                in capsys.readouterr().err)
+
+    def test_covariate_item_parts_are_stripped(self, tmp_path):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(20))
+        ac = tmp_path / "ac.csv"
+        ac.write_text("iso3,year,value\nCHN,2000,7.5\n")
+        panel = tmp_path / "panel.csv"
+        panel.write_text("year,iso3_a,iso3_b\n2000,CHN,DEU\n2001,DEU,FRA\n")
+        items = f"ac : {ac} , gdp:{ac}: log1p"
+        cfg = write_config(root, extra=f"panel = {panel}\n"
+                                       f"actor_covariates = {items}\n")
+        assert RunConfig.load(cfg)["actor_covariates"] == (
+            ("ac", str(ac), "none"), ("gdp", str(ac), "log1p"))
+        assert main(["export", cfg]) == 0
+        text = (tmp_path / "out" / "wave_ST_2000.graphml").read_text()
+        assert 'attr.name="ac"' in text and 'attr.name="gdp"' in text
 
     def test_readme_lists_every_config_key(self):
         with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
@@ -983,6 +1076,7 @@ class TestExitCodes:
             "actor": ("estimate", f"panel = {panel}\nactor_covariates = ac:{bad}"),
             "dyad": ("estimate", f"panel = {panel}\ndyad_covariates = dist:{bad}"),
             "dictionary": ("ingest", f"dictionary = {bad}"),
+            "actors": ("ingest", f"actors = {bad}"),
         }[kind]
         assert main([command, write_config(root, extra=extra + "\n")]) == 1
         assert f"{bad}:{line}:" in capsys.readouterr().err

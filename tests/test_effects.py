@@ -104,6 +104,25 @@ class TestStatistic:
         with pytest.raises(EffectError):
             statistic(EffectSpec("egoPlusAltX", "nope"), k3(), CovariateSet())
 
+    @pytest.mark.parametrize("kind,key", [("egoPlusAltX", "actor_covariates"),
+                                          ("simX", "actor_covariates"),
+                                          ("dyadX", "dyad_covariates")])
+    def test_omitted_covariate_set_is_empty(self, kind, key):
+        """Without `covs` a covariate effect fails as on an empty set, at
+        every entry point, naming the effect and its config key."""
+        from ircnet.estimate import observed_targets
+        eff = EffectSpec(kind, "ac")
+        model = ModelSpec((EffectSpec("density"), eff))
+        panel = BinaryNetSeries((k3(), BinaryNetwork(k3().actors, 1, k3().x)))
+        for call in (lambda: statistic(eff, k3()),
+                     lambda: change_statistic(eff, k3(), 0, 1),
+                     lambda: target_statistics(panel, model),
+                     lambda: observed_targets(panel, model)):
+            with pytest.raises(EffectError) as err:
+                call()
+            assert str(err.value) == (f"effect ac ({kind}): covariate 'ac' "
+                                      f"not provided; set it in {key}")
+
 
 class TestContributionStacks:
     """The beta-free stacks of `contribution`: one for simulation, one for

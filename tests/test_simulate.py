@@ -19,7 +19,7 @@ LANE0 = np.zeros(1, dtype=np.intp)
 
 def one_lane(start, model, covs=None, period=0, stream=None):
     """The lockstep state of one task from the network `start`."""
-    return Lanes([Task(NetState(start.x), model, period, stream)], covs)
+    return Lanes([Task(start, model, period, stream)], covs)
 
 
 def density_model(beta, rate, rule="forcing"):
@@ -229,7 +229,7 @@ FULL_MODEL_EFFECTS = tuple(effect_of(k) for k in ALL_KINDS)
 
 def kernel_tasks(rng, n, rule, covs, count, effects=FULL_MODEL_EFFECTS):
     """`count` tasks on n actors that differ in start, period, beta and rate."""
-    starts = [NetState(random_graph(rng, n, p).x) for p in (0.05, 0.3, 0.7)]
+    starts = [random_graph(rng, n, p) for p in (0.05, 0.3, 0.7)]
     tasks = []
     for k in range(count):
         beta = rng.normal(0.0, 0.5, len(effects))
@@ -257,7 +257,7 @@ class TestKernel:
             covs = kernel_covs(rng, n)
             model = ModelSpec(effects, beta=beta[keep],
                               rates=np.array([6.0]), model_type=rule)
-            tasks = [Task(NetState(random_graph(rng, n, p).x), model, 0,
+            tasks = [Task(random_graph(rng, n, p), model, 0,
                           np.random.SeedSequence([n, k]))
                      for k, p in enumerate((0.05, 0.3, 0.7))]
             state = Lanes(tasks, covs)
@@ -379,7 +379,7 @@ class TestFold:
         n = 9
         covs = kernel_covs(rng, n)
         betas = [rng.normal(0.0, 0.5, len(FULL_MODEL_EFFECTS)) for _ in range(3)]
-        start = NetState(random_graph(rng, n, 0.3).x)
+        start = random_graph(rng, n, 0.3)
         tasks = [Task(start, ModelSpec(FULL_MODEL_EFFECTS, beta=betas[k % 3],
                                        rates=np.array([2.0, 3.0])),
                       k % 2, np.random.SeedSequence(k)) for k in range(24)]
@@ -463,7 +463,7 @@ class TestScores:
         beta = np.array([-1.0, 0.3, -0.05, 0.4, -0.3, 0.8, 0.5])
         model = ModelSpec(FULL_MODEL_EFFECTS, beta=beta, rates=np.array([3.0]),
                           model_type=rule)
-        start = NetState(random_graph(rng, n, 0.3).x)
+        start = random_graph(rng, n, 0.3)
         tasks = [Task(start, model, 0, np.random.SeedSequence([7, r]))
                  for r in range(runs)]
         _, _, _, score, info = simulate_period(tasks, covs=covs, scores=True)
