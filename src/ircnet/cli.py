@@ -46,15 +46,15 @@ def _outdir(cfg):
 
 def cmd_ingest(cfg: RunConfig) -> int:
     actors = fileio.read_actor_set(cfg["actors"])
-    records = fileio.read_records(cfg["records"])
     dictionary = fileio.read_dictionary(cfg["dictionary"])
-    years = cfg["years"] or sorted({r.year for r in records})
     domains = [d.strip() for d in cfg["domain"].split(",")]
+    # one pass over the records for every domain
+    by_domain = ingest.aggregate_domains(
+        fileio.read_records(cfg["records"]), dictionary, actors, domains,
+        cfg["years"])
     out = _outdir(cfg)
     meta = cfg.meta()
-    for domain in domains:
-        series = ingest.aggregate_series(records, dictionary, actors, years,
-                                         domain)
+    for domain, series in by_domain.items():
         slug = _slug(domain)
         fileio.write_weighted_edgelist(series, os.path.join(out, f"weighted_{slug}.csv"),
                                        meta=meta)
@@ -64,7 +64,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
                            ["year", "nodes", "edges", "density", "isolates"],
                            rows, meta)
         print(f"{domain}: {sum(r[2] for r in rows)} weighted edges over "
-              f"{len(years)} years -> weighted_{slug}.csv")
+              f"{series.n_waves} years -> weighted_{slug}.csv")
     return EXIT_OK
 
 

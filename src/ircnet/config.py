@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 from .effects import MODEL_TYPES, EffectSpec
 from .estimate import EstimationOptions, OptionRangeError
 from .fileio import text_lines
+from .panel import TRANSFORMS
 
 
 class ConfigError(ValueError):
@@ -58,14 +59,21 @@ def _flag(text):
 
 
 def _years(text):
-    """'lo-hi' (inclusive) or a comma list."""
+    """'lo-hi' (inclusive) or a comma list, each year once."""
     if "-" in text:
-        lo, hi = text.split("-")
-        years = list(range(int(lo), int(hi) + 1))
+        bounds = text.split("-")
+        if len(bounds) != 2:
+            raise ValueError("expected one range lo-hi, such as 1993-2022")
+        lo, hi = map(int, bounds)
+        years = list(range(lo, hi + 1))
     else:
         years = [int(y) for y in text.split(",")]
     if not years:
         raise ValueError("the range holds no year")
+    if len(set(years)) < len(years):
+        twice = next(y for k, y in enumerate(years) if y in years[:k])
+        raise ValueError(f"year {twice} is listed twice; expected a range "
+                         "lo-hi or a comma list of distinct years")
     return years
 
 
@@ -80,12 +88,15 @@ def _effects(text):
 
 def _covariates(text, reserved=()):
     """'name:path' or 'name:path:transform' items, as (name, path, transform);
-    each name once, and none of `reserved`."""
+    each name once, none of `reserved`, and a transform of `TRANSFORMS`."""
     out = []
     for item in filter(None, map(str.strip, text.split(","))):
         parts = [part.strip() for part in item.split(":")]
         if len(parts) not in (2, 3):
             raise ValueError(f"bad covariate entry {item!r}")
+        if len(parts) == 3 and parts[2] not in TRANSFORMS:
+            raise ValueError(f"unknown transform {parts[2]!r} in {item!r}; "
+                             "expected " + " or ".join(TRANSFORMS))
         name = parts[0]
         if name in reserved:
             raise ValueError(f"covariate name {name!r} is reserved for the "

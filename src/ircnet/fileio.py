@@ -23,34 +23,43 @@ class FileFormatError(ValueError):
     pass
 
 
-def text_lines(path, error=FileFormatError) -> list:
-    """The lines of a UTF-8 text file, as text-mode `readlines` gives them.
-    A file that is not UTF-8 raises `error("path:line: ...")` naming the
-    first line that does not decode."""
+def text_lines(path, error=FileFormatError):
+    """The lines of a UTF-8 text file one at a time, as text-mode iteration
+    gives them, without a leading byte-order mark. A file that is not UTF-8
+    raises `error("path:line: ...")` naming the first line that does not
+    decode, once reading reaches it."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.readlines()
+        with open(path, encoding="utf-8-sig") as fh:
+            yield from fh
+        return
     except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    # the line breaks of text mode; no byte of them occurs inside a
-    # multi-byte UTF-8 character
-    for lineno, line in enumerate(
-            raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n"), 1):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise error(f"{path}:{lineno}: not UTF-8 text: byte "
-                        f"0x{line[exc.start]:02X} at column {exc.start + 1}") from None
+        pass
+    with open(path, "rb") as fh:
+        # bytes.splitlines breaks where text mode does, at \r\n, \r and \n,
+        # none of whose bytes occurs inside a multi-byte UTF-8 character
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for lineno, line in enumerate(lines, 1):
+            try:
+                line.decode("utf-8-sig" if lineno == 1 else "utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: not UTF-8 text: byte "
+                            f"0x{exc.object[exc.start]:02X} at column "
+                            f"{exc.start + 1}") from None
 
 
 def _rows(path):
     """(line number, fields) for each data line of a delimited file; blank
     and '#' lines are skipped but counted."""
-    lines = text_lines(path)
-    linenos = [k for k, ln in enumerate(lines, 1)
-               if ln.strip() and ln[0] != "#"]
-    yield from zip(linenos, csv.reader([lines[k - 1] for k in linenos]))
+    lineno = 0
+
+    def data_lines():
+        nonlocal lineno
+        for lineno, ln in enumerate(text_lines(path), 1):
+            if ln.strip() and ln[0] != "#":
+                yield ln
+
+    for row in csv.reader(data_lines()):
+        yield lineno, row
 
 
 def _row_error(path, lineno, row, exc):
@@ -103,14 +112,14 @@ def read_actor_set(path) -> ActorSet:
 
 
 def read_records(path):
-    out = []
+    """The `ArticleRecord` of each non-blank line, one line at a time."""
     for lineno, ln in enumerate(text_lines(path), 1):
         if ln.strip():
             try:
-                out.append(ArticleRecord.from_json(ln))
+                record = ArticleRecord.from_json(ln)
             except (ValueError, TypeError) as exc:
                 raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-    return out
+            yield record
 
 
 def read_dictionary(path) -> DisambiguationDictionary:
@@ -215,8 +224,9 @@ def read_actor_covariate(path, name, actors, years, transform="none") -> ActorCo
     values are missing.
 
     Rows of actors outside the set, the `iso3` header among them, and of
-    years outside `years` are skipped. A second row for one (actor, year)
-    or a value that is not finite is an error naming its line."""
+    years outside `years` are skipped. A second row for one (actor, year),
+    a value that is not finite, or one below 0 under "log1p" is an error
+    naming its line."""
     vals = np.full((actors.n, len(years)), np.nan)
     year_idx = {y: m for m, y in enumerate(years)}
     seen = {}   # (actor, year) -> line
@@ -232,6 +242,9 @@ def read_actor_covariate(path, name, actors, years, transform="none") -> ActorCo
             raise FileFormatError(f"{path}:{lineno}: value {cell!r} is not finite")
         _once(seen, (row[0], year), path, lineno, f"row for {row[0]} in {year}")
         if year in year_idx:
+            if transform == "log1p" and value < 0:
+                raise FileFormatError(f"{path}:{lineno}: value {cell!r} is "
+                                      "below 0, which log1p does not take")
             vals[actors.index(row[0]), year_idx[year]] = value
     return ActorCovariate.from_raw(name, vals, transform=transform)
 
@@ -239,7 +252,8 @@ def read_actor_covariate(path, name, actors, years, transform="none") -> ActorCo
 def read_dyad_matrix(path, name, actors, transform="none") -> DyadCovariate:
     """Square matrix with ISO3 header row and leading label column; every
     actor of the set needs one row and one column, and the matrix must be
-    symmetric (`np.isclose`, as `DyadCovariate` checks it)."""
+    symmetric (`np.isclose`, as `DyadCovariate` checks it). A value that is
+    not finite, or one below 0 under "log1p", is an error naming its line."""
     rows = _rows(path)
     lineno_header, header = next(rows, (1, None))
     if header is None:
@@ -268,6 +282,10 @@ def read_dyad_matrix(path, name, actors, transform="none") -> DyadCovariate:
             cell = next(c for c, v in zip(row[1:], values[-1])
                         if not math.isfinite(v))
             raise FileFormatError(f"{path}:{lineno}: value {cell!r} is not finite")
+        if transform == "log1p" and min(values[-1], default=0) < 0:
+            cell = next(c for c, v in zip(row[1:], values[-1]) if v < 0)
+            raise FileFormatError(f"{path}:{lineno}: value {cell!r} is below "
+                                  "0, which log1p does not take")
         _once(lines, k, path, lineno, f"row for {row[0]!r}")
     for where, present, at in (("column", cols, f":{lineno_header}"),
                                ("row", lines, "")):

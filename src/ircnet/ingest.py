@@ -112,35 +112,75 @@ class AggregationReport:
     records_used: int = 0
 
 
+# Pair cells held as Python ints before `aggregate_domains` counts them
+# into its arrays: this bounds a pass's memory, whatever the record count.
+PENDING_CELLS = 1 << 16
+
+
+def _count_pending(counts, pending, n):
+    """Add each (domain, year) cell's pending i * n + j pair cells to its
+    n * n flat counts, and empty `pending`."""
+    for key, cells in pending.items():
+        counts[key] = counts.get(key, 0) + np.bincount(
+            np.array(cells, dtype=np.int64), minlength=n * n)
+    pending.clear()
+
+
+def aggregate_domains(records, dictionary: DisambiguationDictionary,
+                      actors: ActorSet, domains, years=None,
+                      report: AggregationReport = None) -> dict:
+    """{domain: WeightedNetSeries over `years`}, from one pass over
+    `records`, which may be a one-shot iterator.
+
+    Each record of a requested year that lists a requested domain (None
+    takes every record) has its pairs expanded once, and they count in each
+    of its (domain, year) cells. `years` None means the sorted years of all
+    scanned records; a year in which a domain has no record gets an
+    all-zero wave."""
+    n = actors.n
+    domains = list(dict.fromkeys(domains))   # a domain named twice counts once
+    report = report if report is not None else AggregationReport()
+    wanted = None if years is None else set(years)
+    seen = set()
+    counts = {}    # (domain, year) -> flat n * n pair counts, i < j
+    pending = {}   # (domain, year) -> i * n + j of pairs not yet counted
+    held = 0
+    for rec in records:
+        report.records_seen += 1
+        seen.add(rec.year)
+        if wanted is not None and rec.year not in wanted:
+            continue
+        keys = [(d, rec.year) for d in domains if d is None or d in rec.domains]
+        if not keys:
+            continue
+        report.records_used += 1
+        cells = [actors.index(a) * n + actors.index(b)
+                 for a, b in expand_pairs(rec, dictionary, actors)]
+        for key in keys:
+            pending.setdefault(key, []).extend(cells)
+        held += len(cells) * len(keys)
+        if held >= PENDING_CELLS:
+            _count_pending(counts, pending, n)
+            held = 0
+    _count_pending(counts, pending, n)
+    years = sorted(seen) if years is None else years
+    zero = np.zeros(n * n, dtype=np.int64)
+    series = {}
+    for d in domains:
+        nets = []
+        for y in years:
+            w = counts.get((d, y), zero).reshape(n, n)
+            nets.append(WeightedNetwork(actors, y, w + w.T))
+        series[d] = WeightedNetSeries(tuple(nets))
+    return series
+
+
 def aggregate(records, dictionary: DisambiguationDictionary, actors: ActorSet,
               year: int, domain: str = None,
               report: AggregationReport = None) -> WeightedNetwork:
     """Sum pair counts over records matching (year, domain)."""
-    n = actors.n
-    report = report if report is not None else AggregationReport()
-    cells = []   # i * n + j of each pair, counted in one pass below
-    for rec in records:
-        report.records_seen += 1
-        if rec.year != year or (domain is not None and domain not in rec.domains):
-            continue
-        report.records_used += 1
-        cells.extend(actors.index(a) * n + actors.index(b)
-                     for a, b in expand_pairs(rec, dictionary, actors))
-    counts = np.bincount(np.array(cells, dtype=np.int64),
-                         minlength=n * n).reshape(n, n)
-    return WeightedNetwork(actors, year, counts + counts.T)
-
-
-def aggregate_series(records, dictionary, actors, years, domain=None):
-    """One WeightedNetwork per year over a fixed record list: the records
-    are bucketed by year in one pass, and each year aggregates its own."""
-    by_year = {year: [] for year in years}
-    for rec in records:
-        if rec.year in by_year:
-            by_year[rec.year].append(rec)
-    nets = [aggregate(by_year[year], dictionary, actors, year, domain)
-            for year in years]
-    return WeightedNetSeries(tuple(nets))
+    return aggregate_domains(records, dictionary, actors, [domain], [year],
+                             report)[domain].wave(0)
 
 
 @dataclass

@@ -131,14 +131,17 @@ class BinaryNetSeries(NetSeries):
     pass
 
 
+TRANSFORMS = ("none", "log1p")   # of a covariate's raw values
+
+
 def _transformed(name, raw, transform):
     """Raw covariate values under `transform`. NaN entries stay missing; an
     observed value below 0 has no log1p."""
     raw = np.asarray(raw, dtype=float)
+    if transform not in TRANSFORMS:
+        raise PanelError(f"unknown transform {transform!r}")
     if transform == "none":
         return raw
-    if transform != "log1p":
-        raise PanelError(f"unknown transform {transform!r}")
     negative = raw < 0
     if negative.any():
         raise PanelError(f"covariate {name}: log1p needs raw values >= 0, "

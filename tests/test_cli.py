@@ -1,3 +1,4 @@
+import codecs
 import csv
 import dataclasses
 import gc
@@ -20,7 +21,7 @@ from ircnet.fileio import (FileFormatError, export_graphml, import_graphml,
                            read_actor_covariate, read_actor_set,
                            read_binary_edgelist, read_dictionary,
                            read_dyad_matrix, read_weighted_edgelist,
-                           write_result_json)
+                           text_lines, write_result_json)
 from ircnet.panel import ActorSet, BinaryNetwork
 
 ACTORS = ("CHN", "DEU", "FRA", "JPN", "NLD", "USA")
@@ -51,6 +52,14 @@ def random_records(seed, n_records=60):
         affs = [raws[i] for i in rng.integers(0, len(raws), size=k)]
         records.append({"id": f"A{r}", "year": int(rng.choice(YEARS)),
                         "domain": "S&T", "affiliations": affs})
+    return records
+
+
+def two_domain_records(seed, n_records=60):
+    """`random_records` with each record in S&T, SocSci or both."""
+    records = random_records(seed, n_records)
+    for k, rec in enumerate(records):
+        rec["domain"] = (["S&T"], ["SocSci"], ["S&T", "SocSci"])[k % 3]
     return records
 
 
@@ -174,6 +183,84 @@ class TestIngest:
                     if not ln.startswith("#")][1:]
         for row, net in zip(rows, series):
             assert int(row[2]) == int((net.w > 0).sum() // 2)
+
+    def test_domain_list_equals_single_domain_runs(self, tmp_path):
+        # `domain = S&T,SocSci` counts both domains in one pass; each file
+        # holds the data rows of a run of its domain alone, and only its `#`
+        # lines, which carry the config hash, differ
+        root = str(tmp_path)
+        write_fixtures(root, two_domain_records(21))
+
+        def ingest_lines(domain):
+            out = os.path.join(root, "out_" + re.sub(r"\W", "", domain))
+            cfg = write_config(root, extra=f"domain = {domain}\noutdir = {out}\n")
+            assert main(["ingest", cfg]) == 0
+            return {name: read_bytes(os.path.join(out, name)).splitlines()
+                    for name in sorted(os.listdir(out))}
+
+        both = ingest_lines("S&T,SocSci")
+        assert sorted(both) == ["describe_ST.csv", "describe_SocSci.csv",
+                                "weighted_ST.csv", "weighted_SocSci.csv"]
+        for domain in ("S&T", "SocSci"):
+            for name, lines in ingest_lines(domain).items():
+                data = [ln for ln in lines if not ln.startswith(b"#")]
+                assert [ln for ln in both[name]
+                        if not ln.startswith(b"#")] == data
+                assert len(data) > 2
+                meta = [ln for ln in lines if ln.startswith(b"#")]
+                assert [ln for ln in both[name] if ln.startswith(b"#")] != meta
+                assert meta[1:] == [b"# seed=7"]
+
+    def test_years_default_to_the_records_years(self, tmp_path):
+        # without `years`, the waves run over the years of every record; a
+        # year with records of another domain only gets a zero row
+        root = str(tmp_path)
+        records = random_records(22, 30) + [
+            {"id": "S1", "year": 2004, "domain": "SocSci",
+             "affiliations": ["Japan", "France"]}]
+        write_fixtures(root, records)
+        cfg = write_config(root)
+        with open(cfg) as fh:
+            text = fh.read()
+        with open(cfg, "w") as fh:
+            fh.write(text.replace("years = 2000-2002\n", ""))
+        assert main(["ingest", cfg]) == 0
+        with open(os.path.join(root, "out", "describe_ST.csv")) as fh:
+            rows = [ln.strip().split(",") for ln in fh
+                    if not ln.startswith("#")][1:]
+        assert [row[0] for row in rows] == ["2000", "2001", "2002", "2004"]
+        assert rows[-1] == ["2004", "6", "0", "0.000", "6"]
+        assert all(int(row[2]) > 0 for row in rows[:-1])
+
+    def test_leading_bom_is_ignored(self, tmp_path):
+        # inputs that start with a UTF-8 byte-order mark give the outputs
+        # they give without one
+        root = str(tmp_path)
+        write_fixtures(root, random_records(23))
+        cfg = write_config(root)
+        out = os.path.join(root, "out")
+
+        def outputs(*commands):
+            for command in commands:
+                assert main([command, cfg]) == 0
+            return {name: read_bytes(os.path.join(out, name))
+                    for name in sorted(os.listdir(out))}
+
+        def add_bom(path):
+            data = read_bytes(path)
+            with open(path, "wb") as fh:
+                fh.write(codecs.BOM_UTF8 + data)
+
+        want = outputs("ingest", "backbone")
+        assert want["weighted_ST.csv"].count(b"\n") > 10
+        for name in ("actors.txt", "dictionary.tsv", "records.jsonl",
+                     "run.cfg"):
+            add_bom(os.path.join(root, name))
+        assert outputs("ingest") == want
+        add_bom(os.path.join(out, "weighted_ST.csv"))
+        assert outputs("backbone") == dict(
+            want, **{"weighted_ST.csv": codecs.BOM_UTF8
+                     + want["weighted_ST.csv"]})
 
 
 class TestBackbone:
@@ -607,6 +694,59 @@ def _dyad_deu_twice():
     return "".join(f"{line},{line.split(',')[2]}\n" for line in _dyad_lines())
 
 
+class TestStreaming:
+    def test_text_lines_are_text_mode_lines(self, tmp_path):
+        # every line break of text mode, a byte-order mark that is dropped,
+        # and characters that text mode does not break at
+        path = tmp_path / "mixed.txt"
+        path.write_bytes("\ufeffa,b\r\nc\rd\n\n\r\r\xe9,\xfc\r\n\x85\u2028x\x0cy"
+                         "\n\r\n last".encode("utf-8"))
+        with open(path, encoding="utf-8-sig") as fh:
+            want = fh.readlines()
+        lines = text_lines(path)
+        assert not isinstance(lines, list)
+        assert list(lines) == want
+
+    @pytest.mark.parametrize("head", [b"", "\ufeff".encode("utf-8")])
+    def test_text_lines_name_the_line_not_utf8(self, tmp_path, head):
+        # line 4, counting the line breaks of text mode
+        path = tmp_path / "bad.txt"
+        path.write_bytes(head + b"a\r\nb\rc\n\xc3\xa9d\xe9\ne\xe9\n")
+        with pytest.raises(FileFormatError) as err:
+            list(text_lines(path))
+        assert str(err.value) == (f"{path}:4: not UTF-8 text: byte 0xE9 at "
+                                  "column 4")
+
+    def test_ingest_memory_does_not_grow_with_records(self, tmp_path):
+        """`ingest` streams its records: 100,000 records peak at most 25 MB
+        above 2,000. A list of them would add about 0.8 KB per record."""
+        root = str(tmp_path)
+        base = random_records(24, 2_000)
+        write_fixtures(root, [])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (os.path.join(REPO, "src"),
+                          os.environ.get("PYTHONPATH")))))
+        rss = {}
+        for size in (2_000, 100_000):
+            records = tmp_path / f"records{size}.jsonl"
+            with open(records, "w") as fh:
+                for k in range(size):
+                    fh.write(json.dumps(dict(base[k % len(base)],
+                                             id=f"A{k}")) + "\n")
+            cfg = write_config(root, extra=f"records = {records}\n"
+                                           f"outdir = {root}/out{size}\n")
+            with open(tmp_path / f"log{size}", "wb") as log:
+                proc = subprocess.Popen(
+                    [sys.executable, "-m", "ircnet.cli", "ingest", cfg],
+                    env=env, stdout=log, stderr=subprocess.STDOUT)
+                _, status, usage = os.wait4(proc.pid, 0)
+            # wait4 has reaped the child; tell Popen, so it never waits on it
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == 0, (tmp_path / f"log{size}").read_text()
+            rss[size] = usage.ru_maxrss / 1024
+        assert rss[100_000] <= rss[2_000] + 25, rss
+
+
 # (file kind, file text, line the error names)
 MALFORMED = [
     pytest.param("panel", "year,iso3_a,iso3_b\n2000,CHN\n", 2,
@@ -920,6 +1060,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "'years'" in err and "'2020-x'" in err
 
+    @pytest.mark.parametrize("value,what", [
+        ("2000,2000", "year 2000 is listed twice; expected a range lo-hi or "
+                      "a comma list of distinct years"),
+        ("1990-2000-2010", "expected one range lo-hi, such as 1993-2022")])
+    def test_repeated_year_or_bad_range(self, tmp_path, capsys, value, what):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(14))
+        cfg = write_config(root, extra=f"years = {value}\n")
+        assert main(["ingest", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"config key 'years': {value!r} is not valid ({what})" in err
+
     @pytest.mark.parametrize("command", ["ingest", "backbone"])
     def test_empty_year_range(self, tmp_path, capsys, command):
         root = str(tmp_path)
@@ -1003,6 +1155,41 @@ class TestExitCodes:
         assert main(["export", cfg]) == 0
         text = (tmp_path / "out" / "wave_ST_2000.graphml").read_text()
         assert 'attr.name="ac"' in text and 'attr.name="gdp"' in text
+
+    def test_unknown_transform_names_the_key(self, tmp_path, capsys):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(20))
+        ac = tmp_path / "ac.csv"
+        ac.write_text("iso3,year,value\nCHN,2000,7.5\n")
+        panel = tmp_path / "panel.csv"
+        panel.write_text("year,iso3_a,iso3_b\n2000,CHN,DEU\n2001,DEU,FRA\n")
+        cfg = write_config(root, extra=f"panel = {panel}\n"
+                                       f"actor_covariates = ac:{ac}:sqrt\n")
+        assert main(["export", cfg]) == 1
+        err = capsys.readouterr().err
+        assert (f"config key 'actor_covariates': 'ac:{ac}:sqrt' is not valid "
+                f"(unknown transform 'sqrt' in 'ac:{ac}:sqrt'; expected none "
+                "or log1p)") in err
+
+    @pytest.mark.parametrize("kind,text,line,cell", [
+        # DEU's 1999 row lies outside the panel's years and is skipped
+        ("actor", "iso3,year,value\nCHN,2000,1\nDEU,1999,-5\nDEU,2001,-2\n"
+         "FRA,2001,-3\n", 4, "-2"),
+        ("dyad", _dyad_text(4, "FRA,1,1,0,1,-1,-2"), 4, "-1")],
+        ids=["actor", "dyad"])
+    def test_log1p_negative_value_names_its_line(self, tmp_path, capsys, kind,
+                                                 text, line, cell):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(20))
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        panel = tmp_path / "panel.csv"
+        panel.write_text("year,iso3_a,iso3_b\n2000,CHN,DEU\n2001,DEU,FRA\n")
+        cfg = write_config(root, extra=f"panel = {panel}\n{kind}_covariates = "
+                                       f"c:{bad}:log1p\n")
+        assert main(["estimate", cfg]) == 1
+        assert (f"{bad}:{line}: value {cell!r} is below 0, which log1p does "
+                "not take") in capsys.readouterr().err
 
     def test_readme_lists_every_config_key(self):
         with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:

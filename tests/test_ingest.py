@@ -8,7 +8,7 @@ from conftest import actor_set
 import ircnet.ingest as ingest
 from ircnet.ingest import (OUT_OF_SET, AggregationReport, ArticleRecord,
                            DisambiguationDictionary, IngestError,
-                           UnmatchedCountryError, aggregate, aggregate_series,
+                           UnmatchedCountryError, aggregate, aggregate_domains,
                            describe, disambiguate, expand_pairs)
 from ircnet.panel import ActorSet, BinaryNetwork, BinaryNetSeries
 
@@ -158,30 +158,55 @@ class TestAggregate:
                                               "integer"):
             ArticleRecord.from_json(line)
 
-    def test_series_scans_each_record_once(self, monkeypatch):
-        # the series equals a per-year `aggregate` over every record, and
-        # its `aggregate` calls see each record once between them
+    def test_one_pass_equals_per_cell_aggregate(self):
+        # a one-shot generator over 2 domains and 2 years gives, for every
+        # (domain, year) cell, the bytes of `aggregate` on the list, and the
+        # report counts each record once
         records = fixture_records()
         records += [rec("11", 2000, ["FRA", "USA"], domains=("S&T",)),
-                    rec("12", 2001, ["CHN", "DEU"], domains=("S&T",))]
+                    rec("12", 2001, ["CHN", "DEU"], domains=("S&T", "SocSci")),
+                    rec("13", 2001, ["NLD", "CHN", "USA"], domains=("SocSci",))]
         random.Random(3).shuffle(records)
-        years = [2000, 2001]
-        for domain in (None, "S&T"):
-            expected = [aggregate(records, DICT, ACTORS, y, domain).w
-                        for y in years]
-            reports = []
+        years, domains = [2000, 2001], ["S&T", "SocSci"]
+        report = AggregationReport()
+        by_domain = aggregate_domains((r for r in records), DICT, ACTORS,
+                                      domains, years, report)
+        assert list(by_domain) == domains
+        for domain, series in by_domain.items():
+            assert series.years == years
+            for net in series:
+                w = aggregate(records, DICT, ACTORS, net.year, domain).w
+                assert net.w.dtype == w.dtype and net.w.tobytes() == w.tobytes()
+        assert report.records_seen == len(records)
+        assert report.records_used == 3   # 11, 12 and 13
 
-            def counted(*args, **kwargs):
-                reports.append(kwargs.setdefault("report", AggregationReport()))
-                return aggregate(*args, **kwargs)
+    def test_pending_cells_counted_in_parts(self, monkeypatch):
+        # counting the pending pair cells every few records changes nothing
+        records = fixture_records()
+        whole = aggregate_domains(records, DICT, ACTORS, [None])[None]
+        monkeypatch.setattr(ingest, "PENDING_CELLS", 2)
+        parts = aggregate_domains(iter(records), DICT, ACTORS, [None])[None]
+        assert parts.years == whole.years == [2000, 2001]
+        for a, b in zip(parts, whole):
+            assert a.w.tobytes() == b.w.tobytes()
 
-            monkeypatch.setattr(ingest, "aggregate", counted)
-            series = aggregate_series(records, DICT, ACTORS, years, domain)
-            monkeypatch.undo()
-            assert [net.year for net in series] == years
-            for net, w in zip(series, expected):
-                assert net.w.tobytes() == w.tobytes()
-            assert sum(r.records_seen for r in reports) == len(records)
+    def test_years_default_to_every_scanned_record(self):
+        # a year with no record of the domain gets an all-zero wave
+        records = [rec("1", 2003, ["USA", "CHN"], domains=("S&T",)),
+                   rec("2", 2001, ["USA", "DEU"], domains=("SocSci",))]
+        series = aggregate_domains(records, DICT, ACTORS, ["S&T"])["S&T"]
+        assert series.years == [2001, 2003]
+        assert series.wave(0).w.sum() == 0 and series.wave(1).w.sum() == 2
+
+    def test_unmatched_error_only_in_requested_cells(self):
+        strict = DisambiguationDictionary(DICT.mapping, policy="error")
+        records = [rec("1", 2000, ["USA", "Narnia"], domains=("SocSci",)),
+                   rec("2", 2001, ["USA", "Narnia"], domains=("S&T",)),
+                   rec("3", 2000, ["USA", "CHN"], domains=("S&T",))]
+        series = aggregate_domains(records, strict, ACTORS, ["S&T"], [2000])
+        assert series["S&T"].wave(0).w.sum() == 2
+        with pytest.raises(UnmatchedCountryError, match="record 2 .2001."):
+            aggregate_domains(records, strict, ACTORS, ["S&T"])
 
 
 class TestDescribe:
@@ -201,7 +226,8 @@ class TestDescribe:
             assert row.nodes == 6
 
     def test_weighted_series(self):
-        series = aggregate_series(fixture_records(), DICT, ACTORS, [2000, 2001])
+        series = aggregate_domains(fixture_records(), DICT, ACTORS, [None],
+                                   [2000, 2001])[None]
         rows = describe(series)
         assert [r.year for r in rows] == [2000, 2001]
         assert rows[0].nodes == ACTORS.n
