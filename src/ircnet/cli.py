@@ -18,7 +18,7 @@ import numpy as np
 from . import backbone as bb
 from . import fileio, gof, ingest
 from .estimate import EstimationError, estimate as run_estimation, p_values
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, domain_slug
 from .effects import EffectError, ModelSpec
 from .panel import BinaryNetSeries, CovariateSet, PanelError, isolate_count
 from .simulate import SimulationError
@@ -34,8 +34,13 @@ VALIDATION_ERRORS = (ConfigError, PanelError, EffectError, ingest.IngestError,
 RUNTIME_ERRORS = (EstimationError, SimulationError, np.linalg.LinAlgError)
 
 
-def _slug(domain: str) -> str:
-    return "".join(c for c in domain if c.isalnum()) or "all"
+def _slug(cfg) -> str:
+    """The slug of the one domain that a command other than ingest reads."""
+    domains = cfg["domain"]
+    if len(domains) != 1:
+        raise ConfigError(f"config key 'domain': {cfg.values['domain']!r} "
+                          f"names {len(domains)} domains; this command reads one")
+    return domain_slug(domains[0])
 
 
 def _outdir(cfg):
@@ -47,15 +52,14 @@ def _outdir(cfg):
 def cmd_ingest(cfg: RunConfig) -> int:
     actors = fileio.read_actor_set(cfg["actors"])
     dictionary = fileio.read_dictionary(cfg["dictionary"])
-    domains = [d.strip() for d in cfg["domain"].split(",")]
     # one pass over the records for every domain
     by_domain = ingest.aggregate_domains(
-        fileio.read_records(cfg["records"]), dictionary, actors, domains,
+        fileio.read_records(cfg["records"]), dictionary, actors, cfg["domain"],
         cfg["years"])
     out = _outdir(cfg)
     meta = cfg.meta()
     for domain, series in by_domain.items():
-        slug = _slug(domain)
+        slug = domain_slug(domain)
         fileio.write_weighted_edgelist(series, os.path.join(out, f"weighted_{slug}.csv"),
                                        meta=meta)
         rows = [(r.year, r.nodes, r.edges, f"{r.density:.3f}", r.isolates)
@@ -71,9 +75,9 @@ def cmd_ingest(cfg: RunConfig) -> int:
 def cmd_backbone(cfg: RunConfig) -> int:
     actors = fileio.read_actor_set(cfg["actors"])
     alpha = cfg["alpha"]
+    slug = _slug(cfg)
     out = _outdir(cfg)
     meta = dict(cfg.meta(), alpha=alpha)
-    slug = _slug(cfg["domain"])
     weighted_path = cfg["weighted"] or os.path.join(out, f"weighted_{slug}.csv")
     series = fileio.read_weighted_edgelist(weighted_path, actors, cfg["years"])
     nets, rows = [], []
@@ -102,8 +106,8 @@ def cmd_backbone(cfg: RunConfig) -> int:
 
 def _load_panel(cfg):
     actors = fileio.read_actor_set(cfg["actors"])
+    slug = _slug(cfg)
     out = _outdir(cfg)
-    slug = _slug(cfg["domain"])
     panel_path = cfg["panel"] or os.path.join(out, f"backbone_{slug}.csv")
     panel = fileio.read_binary_edgelist(panel_path, actors, cfg["years"])
     return actors, panel, out, slug

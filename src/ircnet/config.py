@@ -77,12 +77,35 @@ def _years(text):
     return years
 
 
+def domain_slug(domain):
+    """A domain's part of its output file names: its letters and digits."""
+    return "".join(c for c in domain if c.isalnum()) or "all"
+
+
+def _domains(text):
+    """A comma list of domain names; a name given twice counts once, and no
+    two names may share a slug, since each writes `weighted_<slug>.csv`."""
+    domains = list(dict.fromkeys(map(str.strip, text.split(","))))
+    if "" in domains:
+        raise ValueError("a domain name is empty")
+    first = {}   # slug -> the first domain of that slug
+    for d in domains:
+        other = first.setdefault(domain_slug(d), d)
+        if other != d:
+            raise ValueError(f"domains {other!r} and {d!r} both write "
+                             f"weighted_{domain_slug(d)}.csv")
+    return tuple(domains)
+
+
 def _effects(text):
-    """'kind' or 'kind:covariate' items."""
+    """'kind' or 'kind:covariate' items, each once."""
     out = []
     for item in filter(None, map(str.strip, text.split(","))):
         kind, _, cov = item.partition(":")
-        out.append(EffectSpec(kind.strip(), cov.strip() or None))
+        spec = EffectSpec(kind.strip(), cov.strip() or None)
+        if spec in out:
+            raise ValueError(f"effect {item!r} is given twice")
+        out.append(spec)
     return tuple(out)
 
 
@@ -119,7 +142,7 @@ KEYS = {
     "records": (str, REQUIRED),
     "dictionary": (str, REQUIRED),
     "years": (_years, None),                   # None: the records' years
-    "domain": (str, "unclassified"),
+    "domain": (_domains, ("unclassified",)),
     "alpha": (_alpha, 0.05),
     "alpha_column": (_flag, False),
     "weighted": (str, None),
@@ -167,10 +190,12 @@ class RunConfig:
             if key not in KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             cfg.values[key] = val
-        # a flag's value is hashed in its parsed form: `--seed 07` as 7
+        # a flag's value is hashed in its parsed form, `--seed 07` as 7; a
+        # domain list as it is given
         for key, val in (overrides or {}).items():
             if val is not None:
-                cfg.values[key] = str(_parse(key, val))
+                parsed = _parse(key, val)
+                cfg.values[key] = val if key == "domain" else str(parsed)
         return cfg
 
     def __getitem__(self, key):

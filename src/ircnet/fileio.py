@@ -140,8 +140,10 @@ def read_dictionary(path) -> DisambiguationDictionary:
                     raise FileFormatError(f"{path}:{lineno}: expected '# policy=drop'"
                                           f" or '# policy=error', got {ln!r}")
             continue
+        # a code holds no comma, so a comma line splits at its last one:
+        # `Korea, Republic of,KOR`
         parts = [part.strip() for part in
-                 (ln.split("\t") if "\t" in ln else ln.split(",", 1))]
+                 (ln.split("\t") if "\t" in ln else ln.rsplit(",", 1))]
         if len(parts) != 2 or not all(parts):
             raise FileFormatError(f"{path}:{lineno}: expected a raw name and "
                                   f"an ISO3 code, got {ln!r}")

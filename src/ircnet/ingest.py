@@ -17,7 +17,6 @@ import numpy as np
 from .panel import (ActorSet, BinaryNetwork, NetSeries, WeightedNetSeries,
                     WeightedNetwork, density, edge_count, isolate_count)
 
-OUT_OF_SET = "__OUT_OF_SET__"
 POLICIES = ("drop", "error")    # what an unmatched country name does
 
 
@@ -26,9 +25,9 @@ class IngestError(ValueError):
 
 
 class UnmatchedCountryError(IngestError):
-    def __init__(self, raw: str, record=None):
-        where = "" if record is None else f"record {record.id} ({record.year}): "
-        super().__init__(f"{where}no dictionary entry for country name {raw!r}")
+    def __init__(self, raw: str, record):
+        super().__init__(f"record {record.id} ({record.year}): no dictionary "
+                         f"entry for country name {raw!r}")
         self.raw = raw
 
 
@@ -82,28 +81,26 @@ class DisambiguationDictionary:
         object.__setattr__(self, "mapping", dict(self.mapping))
 
 
-def disambiguate(raw: str, dictionary: DisambiguationDictionary) -> str:
-    """Map a raw country name to ISO3, or to the out-of-set marker."""
-    code = dictionary.mapping.get(raw)
-    if code is None:
-        if dictionary.policy == "error":
-            raise UnmatchedCountryError(raw)
-        return OUT_OF_SET
-    return code
+def _codes(record: ArticleRecord, dictionary: DisambiguationDictionary,
+           actors: ActorSet = None) -> list:
+    """Sorted distinct codes that the dictionary gives the record's names,
+    only those in `actors` if it is given. Under policy 'error' a name the
+    dictionary lacks raises, naming the record."""
+    codes = set()
+    for raw in record.affiliations:
+        code = dictionary.mapping.get(raw)
+        if code is None:
+            if dictionary.policy == "error":
+                raise UnmatchedCountryError(raw, record)
+        elif actors is None or code in actors:
+            codes.add(code)
+    return sorted(codes)
 
 
 def expand_pairs(record: ArticleRecord, dictionary: DisambiguationDictionary,
                  actors: ActorSet = None) -> set:
     """Unordered pairs of distinct in-set country codes on one article."""
-    codes = set()
-    try:
-        for raw in record.affiliations:
-            code = disambiguate(raw, dictionary)
-            if code != OUT_OF_SET and (actors is None or code in actors):
-                codes.add(code)
-    except UnmatchedCountryError as exc:
-        raise UnmatchedCountryError(exc.raw, record) from None
-    return set(itertools.combinations(sorted(codes), 2))   # each pair sorted
+    return set(itertools.combinations(_codes(record, dictionary, actors), 2))
 
 
 @dataclass
@@ -133,8 +130,8 @@ def aggregate_domains(records, dictionary: DisambiguationDictionary,
     `records`, which may be a one-shot iterator.
 
     Each record of a requested year that lists a requested domain (None
-    takes every record) has its pairs expanded once, and they count in each
-    of its (domain, year) cells. `years` None means the sorted years of all
+    takes every record) has its names resolved once, and its pairs count in
+    each of its (domain, year) cells. `years` None means the sorted years of all
     scanned records; a year in which a domain has no record gets an
     all-zero wave."""
     n = actors.n
@@ -154,8 +151,9 @@ def aggregate_domains(records, dictionary: DisambiguationDictionary,
         if not keys:
             continue
         report.records_used += 1
-        cells = [actors.index(a) * n + actors.index(b)
-                 for a, b in expand_pairs(rec, dictionary, actors)]
+        # actors are sorted, so index order is code order and i < j
+        idx = [actors.index(c) for c in _codes(rec, dictionary, actors)]
+        cells = [i * n + j for i, j in itertools.combinations(idx, 2)]
         for key in keys:
             pending.setdefault(key, []).extend(cells)
         held += len(cells) * len(keys)

@@ -201,8 +201,12 @@ class TestIngest:
         both = ingest_lines("S&T,SocSci")
         assert sorted(both) == ["describe_ST.csv", "describe_SocSci.csv",
                                 "weighted_ST.csv", "weighted_SocSci.csv"]
+        twice = ingest_lines("S&T, S&T")   # a name given twice counts once
+        assert sorted(twice) == ["describe_ST.csv", "weighted_ST.csv"]
         for domain in ("S&T", "SocSci"):
             for name, lines in ingest_lines(domain).items():
+                if domain == "S&T":
+                    assert twice[name][1:] == lines[1:]   # all but the hash
                 data = [ln for ln in lines if not ln.startswith(b"#")]
                 assert [ln for ln in both[name]
                         if not ln.startswith(b"#")] == data
@@ -261,6 +265,23 @@ class TestIngest:
         assert outputs("backbone") == dict(
             want, **{"weighted_ST.csv": codecs.BOM_UTF8
                      + want["weighted_ST.csv"]})
+
+    def test_comma_dictionary_line_splits_at_last_comma(self, tmp_path):
+        # a raw name may hold a comma, an ISO3 code holds none
+        root = str(tmp_path)
+        records = [{"id": "K1", "year": 2000, "domain": "S&T",
+                    "affiliations": ["Korea, Republic of", "Japan"]}]
+        write_fixtures(root, records)
+        with open(os.path.join(root, "actors.txt"), "a") as fh:
+            fh.write("KOR\n")
+        dictionary = os.path.join(root, "dictionary.tsv")
+        with open(dictionary, "a") as fh:
+            fh.write("Korea, Republic of,KOR\n")
+        assert read_dictionary(dictionary).mapping["Korea, Republic of"] == "KOR"
+        assert main(["ingest", write_config(root)]) == 0
+        with open(os.path.join(root, "out", "weighted_ST.csv")) as fh:
+            rows = [ln.strip() for ln in fh if not ln.startswith("#")]
+        assert rows == ["year,iso3_a,iso3_b,weight", "2000,JPN,KOR,1"]
 
 
 class TestBackbone:
@@ -485,6 +506,38 @@ class TestTracer:
                     parent = spans[parent][3]
                 owners.add(None if parent is None else spans[parent][0])
         assert "estimate.phase2_update" in owners
+
+    def test_traced_commands_write_untraced_bytes(self, tmp_path):
+        # the tracer wraps ingest's and backbone's functions by name and
+        # reads `extract_backbone`'s report; each command still writes the
+        # bytes of an untraced run
+        root = str(tmp_path)
+        records = random_records(6)
+        write_fixtures(root, records)
+        cfg = write_config(root)
+        out = os.path.join(root, "out")
+        commands = ("ingest", "backbone", "export")
+        for command in commands:
+            assert main([command, cfg]) == 0
+        want = {name: read_bytes(os.path.join(out, name))
+                for name in os.listdir(out)}
+        shutil.rmtree(out)
+        dumps = {}
+        for command in commands:
+            dump = os.path.join(root, f"{command}.json")
+            done = run_python(os.path.join(REPO, "bench", "tracer.py"),
+                              dump, command, cfg)
+            assert done.returncode == 0, done.stderr
+            with open(dump) as fh:
+                dumps[command] = json.load(fh)
+        assert {name: read_bytes(os.path.join(out, name))
+                for name in os.listdir(out)} == want
+        # one actor lookup per distinct in-set country of a counted record
+        codes = {raw: code for code, raw in NAMES.items()}
+        lookups = sum(len({codes[a] for a in r["affiliations"] if a in codes})
+                      for r in records)
+        assert dumps["ingest"]["hot"]["panel.ActorSet.index"][0] == lookups
+        assert dumps["backbone"]["counts"]["backbone.retained_edges"] > 0
 
 
 class TestProgramEntry:
@@ -1080,6 +1133,50 @@ class TestExitCodes:
         assert main([command, cfg]) == 1
         err = capsys.readouterr().err
         assert "'years'" in err and "'2002-2000'" in err
+
+    @pytest.mark.parametrize("value,what", [
+        ("S&T, ST", "domains 'S&T' and 'ST' both write weighted_ST.csv"),
+        ("S&T,", "a domain name is empty")])
+    def test_domain_list_names_the_key(self, tmp_path, capsys, value, what):
+        # checked before any record is read: the malformed record is not
+        # reached, and nothing is written
+        root = str(tmp_path)
+        write_fixtures(root, random_records(24))
+        with open(os.path.join(root, "records.jsonl"), "w") as fh:
+            fh.write("not json\n")
+        cfg = write_config(root, extra=f"domain = {value}\n")
+        assert main(["ingest", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"config key 'domain': {value!r} is not valid ({what})" in err
+        assert not os.path.exists(os.path.join(root, "out"))
+
+    @pytest.mark.parametrize("command", ["backbone", "estimate", "gof",
+                                         "export"])
+    def test_one_domain_commands_reject_a_list(self, tmp_path, capsys,
+                                               command):
+        root = str(tmp_path)
+        write_fixtures(root, random_records(25))
+        cfg = write_config(root, extra="domain = S&T,SocSci\n")
+        assert main([command, cfg]) == 1
+        assert ("config key 'domain': 'S&T,SocSci' names 2 domains; this "
+                "command reads one") in capsys.readouterr().err
+
+    def test_repeated_effect_names_the_key(self, tmp_path, capsys):
+        # the items are compared after stripping; a model built with a
+        # repeated effect has a singular derivative matrix
+        root = str(tmp_path)
+        write_fixtures(root, random_records(26))
+        ac = tmp_path / "ac.csv"
+        ac.write_text("iso3,year,value\nCHN,2000,7.5\n")
+        panel = tmp_path / "panel.csv"
+        panel.write_text("year,iso3_a,iso3_b\n2000,CHN,DEU\n2001,DEU,FRA\n")
+        effects = "density, gwesp, egoPlusAltX:gdp, egoPlusAltX : gdp"
+        cfg = write_config(root, extra=f"panel = {panel}\n"
+                                       f"actor_covariates = gdp:{ac}\n"
+                                       f"effects = {effects}\n")
+        assert main(["estimate", cfg]) == 1
+        assert (f"config key 'effects': {effects!r} is not valid (effect "
+                "'egoPlusAltX : gdp' is given twice)") in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["n_1", "min_subphase_iter"])
     def test_unknown_key(self, tmp_path, capsys, key):

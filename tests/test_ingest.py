@@ -6,10 +6,10 @@ import pytest
 
 from conftest import actor_set
 import ircnet.ingest as ingest
-from ircnet.ingest import (OUT_OF_SET, AggregationReport, ArticleRecord,
+from ircnet.ingest import (AggregationReport, ArticleRecord,
                            DisambiguationDictionary, IngestError,
                            UnmatchedCountryError, aggregate, aggregate_domains,
-                           describe, disambiguate, expand_pairs)
+                           describe, expand_pairs)
 from ircnet.panel import ActorSet, BinaryNetwork, BinaryNetSeries
 
 DICT = DisambiguationDictionary({
@@ -25,19 +25,28 @@ def rec(id, year, affiliations, domains=("unclassified",)):
 
 
 class TestDisambiguate:
+    """`ingest._codes` is the one place that resolves a record's names."""
+
     def test_identity(self):
-        assert disambiguate("USA", DICT) == "USA"
+        assert ingest._codes(rec("a", 2000, ["USA"]), DICT) == ["USA"]
 
     def test_dictionary_forced(self):
-        assert disambiguate("The Netherlands", DICT) == "NLD"
+        names = ["The Netherlands", "USA", "NLD", "China"]
+        assert ingest._codes(rec("a", 2000, names), DICT) == ["CHN", "NLD", "USA"]
 
     def test_unmatched_drop(self):
-        assert disambiguate("Atlantis", DICT) == OUT_OF_SET
+        # an unmatched name and a code outside the actor set are both dropped
+        actors = ActorSet(("CHN", "USA"))
+        names = ["Atlantis", "USA", "DEU", "China"]
+        assert ingest._codes(rec("a", 2000, names), DICT, actors) == ["CHN", "USA"]
+        assert ingest._codes(rec("a", 2000, names), DICT) == ["CHN", "DEU", "USA"]
 
     def test_unmatched_error_policy(self):
         strict = DisambiguationDictionary(DICT.mapping, policy="error")
-        with pytest.raises(UnmatchedCountryError) as exc:
-            disambiguate("Atlantis", strict)
+        with pytest.raises(UnmatchedCountryError,
+                           match="record a .2000.: no dictionary entry for "
+                                 "country name 'Atlantis'") as exc:
+            expand_pairs(rec("a", 2000, ["USA", "Atlantis"]), strict)
         assert exc.value.raw == "Atlantis"
 
 
