@@ -7,8 +7,13 @@ same configuration are byte-identical.
 
 from __future__ import annotations
 
-import argparse
 import gc
+
+if __name__ == "__main__":
+    # The program entry loads the layers with the collector off (see `run`).
+    gc.disable()
+
+import argparse
 import os
 import sys
 from types import SimpleNamespace
@@ -137,6 +142,10 @@ def _report_lines(result):
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
+    years = cfg["years"]
+    if years is not None and len(years) < 2:
+        raise ConfigError(f"config key 'years': {cfg.values['years']!r} names "
+                          f"one year, {years[0]}; estimate needs at least 2")
     _, panel, out, slug = _load_panel(cfg)
     covs = _load_covariates(cfg, panel)
     model = ModelSpec(cfg["effects"], model_type=cfg["model_type"])
@@ -235,11 +244,14 @@ def main(argv=None) -> int:
 
 def run():
     """Program entry of `python -m ircnet.cli` and the `ircnet` script."""
-    # The modules loaded by now live until the process exits. Frozen, they
-    # are never scanned again, neither by the command's own collections nor
-    # by the one at exit. `main` does not freeze: callers in one process
-    # (tests, bench/tracer.py) keep their heap as it is.
+    # Run as __main__, this module loaded the layers with the collector off.
+    # Frozen, their objects are never scanned, neither by the command's own
+    # collections nor by the one at exit; enabling before freezing would
+    # start one young collection over all of them. `main` leaves the
+    # collector alone: callers in one process (tests, bench/tracer.py) keep
+    # their heap as it is.
     gc.freeze()
+    gc.enable()
     sys.exit(main())
 
 

@@ -31,6 +31,10 @@ class UnmatchedCountryError(IngestError):
         self.raw = raw
 
 
+_STR = {str}
+_EMPTY = "record {}: affiliations must be non-empty"
+
+
 @dataclass(frozen=True)
 class ArticleRecord:
     id: str
@@ -40,7 +44,7 @@ class ArticleRecord:
 
     def __post_init__(self):
         if not self.affiliations:
-            raise IngestError(f"record {self.id}: affiliations must be non-empty")
+            raise IngestError(_EMPTY.format(self.id))
         object.__setattr__(self, "domains", tuple(self.domains))
         object.__setattr__(self, "affiliations", tuple(self.affiliations))
 
@@ -49,23 +53,34 @@ class ArticleRecord:
         obj = json.loads(line)
         if not isinstance(obj, dict):
             raise IngestError("record is not a JSON object")
-        missing = [k for k in ("id", "year", "affiliations") if k not in obj]
-        if missing:
-            raise IngestError(f"record lacks {', '.join(missing)}")
+        try:
+            rid, year, affiliations = obj["id"], obj["year"], obj["affiliations"]
+        except KeyError:
+            missing = [k for k in ("id", "year", "affiliations") if k not in obj]
+            raise IngestError(f"record lacks {', '.join(missing)}") from None
         domains = obj.get("domain", "unclassified")
         if isinstance(domains, str):
             domains = [domains]
-        for key, value in (("domain", domains), ("affiliations", obj["affiliations"])):
-            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-                raise IngestError(f"record {obj['id']}: {key} must be a list of "
+        # JSON values have exact types: a list of strings has item types {str}
+        for key, value in (("domain", domains), ("affiliations", affiliations)):
+            if type(value) is not list or not _STR.issuperset(map(type, value)):
+                raise IngestError(f"record {rid}: {key} must be a list of "
                                   f"strings, got {obj[key]!r}")
-        year = obj["year"]
         if isinstance(year, str) and year.isascii() and year.isdigit():
             year = int(year)
         if type(year) is not int:   # a bool is an int, but not a year
-            raise IngestError(f"record {obj['id']}: year must be an integer, "
+            raise IngestError(f"record {rid}: year must be an integer, "
                               f"got {year!r}")
-        return cls(str(obj["id"]), year, domains, obj["affiliations"])
+        rid = str(rid)
+        if not affiliations:
+            raise IngestError(_EMPTY.format(rid))
+        # The fields are checked: set them at once, without the frozen
+        # __init__'s object.__setattr__ per field and __post_init__'s copies,
+        # which cost more than the checks.
+        record = object.__new__(cls)
+        vars(record).update(id=rid, year=year, domains=tuple(domains),
+                            affiliations=tuple(affiliations))
+        return record
 
 
 @dataclass(frozen=True)

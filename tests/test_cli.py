@@ -579,6 +579,43 @@ except SystemExit as exc:
         code, frozen = done.stdout.splitlines()[-1].split()
         assert code == "0" and int(frozen) > 0
 
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    def test_entry_loads_with_collector_paused(self, tmp_path, entry):
+        # from the first line of cli.py to `main` no collection runs; the
+        # command runs with the collector on and the imported heap frozen
+        root = str(tmp_path)
+        write_fixtures(root, random_records(20))
+        cfg = write_config(root)
+        with open(os.path.join(REPO, "pyproject.toml")) as fh:
+            script = re.search(r'^ircnet = "(.+):(.+)"$', fh.read(), re.M)
+        call = {"module": 'runpy.run_module("ircnet.cli", run_name="__main__", '
+                          'alter_sys=True)',   # what `python -m` does
+                "script": "from {0} import {1}; {1}()".format(*script.groups())}
+        done = run_python("-c", f"""\
+import gc, json, os, runpy, sys
+seen = {{}}   # cli.py function -> [collections so far, collector on, frozen]
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(1))
+def probe(frame, event, arg):
+    code = frame.f_code
+    if (event == "call" and code.co_name not in seen
+            and code.co_filename.endswith(os.path.join("ircnet", "cli.py"))):
+        seen[code.co_name] = [len(starts), gc.isenabled(), gc.get_freeze_count()]
+sys.setprofile(probe)
+sys.argv = ["ircnet", "ingest", {cfg!r}]
+try:
+    {call[entry]}
+except SystemExit as exc:
+    sys.setprofile(None)
+    print(json.dumps([exc.code, seen]))
+""")
+        assert done.returncode == 0, done.stderr
+        code, seen = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0
+        assert seen["main"][0] == seen["<module>"][0]
+        _, enabled, frozen = seen["cmd_ingest"]
+        assert enabled and frozen > 0
+
     def test_main_does_not_freeze(self, tmp_path):
         root = str(tmp_path)
         write_fixtures(root, random_records(20))
@@ -1133,6 +1170,20 @@ class TestExitCodes:
         assert main([command, cfg]) == 1
         err = capsys.readouterr().err
         assert "'years'" in err and "'2002-2000'" in err
+
+    def test_one_year_estimate_names_the_key(self, tmp_path, capsys):
+        # a one-wave panel has no period to fit: a config error, found
+        # before the covariate files are read or the output folder is made
+        root = str(tmp_path)
+        write_fixtures(root, random_records(18))
+        panel = tmp_path / "panel.csv"
+        panel.write_text("year,iso3_a,iso3_b\n2001,CHN,DEU\n")
+        cfg = write_config(root, extra=f"years = 2001\npanel = {panel}\n"
+                                       f"actor_covariates = gdp:{root}/no.csv\n")
+        assert main(["estimate", cfg]) == 1
+        assert ("error: config key 'years': '2001' names one year, 2001; "
+                "estimate needs at least 2") in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(root, "out"))
 
     @pytest.mark.parametrize("value,what", [
         ("S&T, ST", "domains 'S&T' and 'ST' both write weighted_ST.csv"),

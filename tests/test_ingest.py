@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -152,6 +153,20 @@ class TestAggregate:
     def test_empty_affiliations_rejected(self):
         with pytest.raises(IngestError):
             rec("1", 2000, [])
+
+    def test_parsed_record_equals_constructed(self):
+        # from_json sets the checked fields without the dataclass __init__:
+        # the record is the constructor's, frozen, and the empty list fails
+        # with the constructor's message
+        parsed = ArticleRecord.from_json(
+            '{"id": 7, "year": 2001, "domain": "S&T", "affiliations": ["X", "Y"]}')
+        assert parsed == ArticleRecord("7", 2001, ["S&T"], ["X", "Y"])
+        assert type(parsed.domains) is type(parsed.affiliations) is tuple
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            parsed.year = 2002
+        with pytest.raises(IngestError, match="^record 7: affiliations must "
+                                              "be non-empty$"):
+            ArticleRecord.from_json('{"id": 7, "year": 2001, "affiliations": []}')
 
     @pytest.mark.parametrize("year", ["2001", '"2001"'])
     def test_year_is_an_int_or_its_decimal_text(self, year):
