@@ -86,11 +86,13 @@ def cmd_backbone(cfg: RunConfig) -> int:
     weighted_path = cfg["weighted"] or os.path.join(out, f"weighted_{slug}.csv")
     series = fileio.read_weighted_edgelist(weighted_path, actors, cfg["years"])
     nets, rows = [], []
-    scores_by_year = {}
+    # one year's scores at a time; only the `alpha` column keeps them
+    alpha_by_year = {} if cfg["alpha_column"] else None
     for wnet in series:
         scores = bb.disparity_scores(wnet)
         net, report = bb.extract_backbone(wnet, alpha, scores)
-        scores_by_year[wnet.year] = scores
+        if alpha_by_year is not None:
+            alpha_by_year[wnet.year] = scores.alpha
         nets.append(net)
         rows.append((wnet.year, report.positive_edges, report.retained_edges,
                      f"{report.trimming_fraction:.4f}",
@@ -98,10 +100,10 @@ def cmd_backbone(cfg: RunConfig) -> int:
     bseries = BinaryNetSeries(tuple(nets))
     fileio.write_binary_edgelist(bseries, os.path.join(out, f"backbone_{slug}.csv"),
                                  meta=meta)
-    if cfg["alpha_column"]:
+    if alpha_by_year is not None:
         fileio.write_weighted_edgelist(series,
                                        os.path.join(out, f"scored_{slug}.csv"),
-                                       meta=meta, scores_by_year=scores_by_year)
+                                       meta=meta, alpha_by_year=alpha_by_year)
     fileio.write_table(os.path.join(out, f"trimming_{slug}.csv"),
                        ["year", "positive_edges", "retained_edges",
                         "trimming_fraction", "isolate_share"], rows, meta)
@@ -130,7 +132,11 @@ def _load_covariates(cfg, panel, dyadic=True) -> CovariateSet:
     return covs
 
 
-def _report_lines(result):
+def _converged(result, t_max) -> bool:
+    return result.conv_ratio <= t_max    # False for a NaN ratio
+
+
+def _report_lines(result, t_max):
     lines = ["Parameter                        Estimate", "-" * 48]
     for label, b, se, p, star in p_values(result):
         lines.append(f"{label:<32} {b:.4f}{star}")
@@ -138,6 +144,8 @@ def _report_lines(result):
     lines.append("-" * 48)
     lines.append(f"{'Convergence Ratio':<32} {result.conv_ratio:.4f}")
     lines.append(f"{'Iteration Steps':<32} {result.iterations}")
+    if not _converged(result, t_max):
+        lines.append(f"Not converged (ratio above t_max = {t_max:g})")
     return lines
 
 
@@ -161,10 +169,15 @@ def cmd_estimate(cfg: RunConfig) -> int:
             for label, b, se, p, star in p_values(result)]
     fileio.write_table(os.path.join(out, f"estimates_{slug}.csv"),
                        ["parameter", "estimate", "se", "p", "stars"], rows, meta)
-    report = fileio._meta_text(meta) + "\n".join(_report_lines(result)) + "\n"
+    lines = _report_lines(result, options.t_max)
+    report = fileio._meta_text(meta) + "\n".join(lines) + "\n"
     with open(os.path.join(out, f"report_{slug}.txt"), "w", encoding="utf-8") as fh:
         fh.write(report)
-    print("\n".join(_report_lines(result)))
+    print("\n".join(lines))
+    if not _converged(result, options.t_max):
+        print(f"warning: convergence ratio {result.conv_ratio:.4f} exceeds "
+              f"t_max {options.t_max:g}; the estimates are not converged",
+              file=sys.stderr)
     return EXIT_OK
 
 

@@ -152,19 +152,21 @@ def read_dictionary(path) -> DisambiguationDictionary:
     return DisambiguationDictionary(mapping, policy)
 
 
-def write_weighted_edgelist(series, path, meta=None, scores_by_year=None):
-    """`year,iso3_a,iso3_b,weight` rows (iso3_a < iso3_b), optional alpha col."""
+def write_weighted_edgelist(series, path, meta=None, alpha_by_year=None):
+    """`year,iso3_a,iso3_b,weight` rows (iso3_a < iso3_b), and an `alpha`
+    column of each edge's disparity score if `alpha_by_year` (year -> the
+    `BackboneScores.alpha` matrix) is given."""
     def rows():
         for net in series:
             ids = net.actors.ids
             for i, j in zip(*np.nonzero(np.triu(net.w, k=1))):
                 row = [net.year, ids[i], ids[j], int(net.w[i, j])]
-                if scores_by_year is not None:
-                    row.append(f"{scores_by_year[net.year].alpha[i, j]:.10g}")
+                if alpha_by_year is not None:
+                    row.append(f"{alpha_by_year[net.year][i, j]:.10g}")
                 yield row
 
     header = ["year", "iso3_a", "iso3_b", "weight"]
-    if scores_by_year is not None:
+    if alpha_by_year is not None:
         header.append("alpha")
     write_table(path, header, rows(), meta)
 
@@ -176,11 +178,16 @@ def write_binary_edgelist(series, path, meta=None):
 
 
 def _read_edgelist(path, actors, weighted, years=None):
+    """The series over `years` (None: every year in the file). Every row is
+    parsed and checked, but only the requested years are counted: a year's
+    matrix is made at its first row and dropped once its network is built."""
     rows = _rows(path)
     lineno, header = next(rows, (1, [""]))
     if header[0] != "year":
         raise FileFormatError(f"{path}:{lineno}: missing edge-list header")
     n = actors.n
+    wanted = None if years is None else set(years)
+    dtype = np.int64 if weighted else np.int8
     data = {}
     for lineno, row in rows:
         try:
@@ -192,9 +199,11 @@ def _read_edgelist(path, actors, weighted, years=None):
         if i == j or w < 0:
             what = f"self-loop at {row[1]}" if i == j else f"negative weight {w}"
             raise FileFormatError(f"{path}:{lineno}: {what}")
+        if wanted is not None and year not in wanted:
+            continue
         mat = data.get(year)
         if mat is None:
-            mat = data[year] = np.zeros((n, n), dtype=np.int64)
+            mat = data[year] = np.zeros((n, n), dtype=dtype)
         if weighted:
             mat[i, j] += w
         else:
@@ -202,15 +211,15 @@ def _read_edgelist(path, actors, weighted, years=None):
         mat[j, i] = mat[i, j]
     if years is None:
         years = sorted(data)
+    series_cls, net_cls = ((WeightedNetSeries, WeightedNetwork) if weighted
+                           else (BinaryNetSeries, BinaryNetwork))
     nets = []
     for year in years:
-        mat = data.get(year, np.zeros((n, n), dtype=np.int64))
-        if weighted:
-            nets.append(WeightedNetwork(actors, year, mat))
-        else:
-            nets.append(BinaryNetwork(actors, year, (mat > 0).astype(np.int8)))
-    cls = WeightedNetSeries if weighted else BinaryNetSeries
-    return cls(tuple(nets))
+        mat = data.pop(year, None)
+        if mat is None:
+            mat = np.zeros((n, n), dtype=dtype)
+        nets.append(net_cls(actors, year, mat))
+    return series_cls(tuple(nets))
 
 
 def read_weighted_edgelist(path, actors, years=None) -> WeightedNetSeries:
@@ -406,11 +415,20 @@ def write_result_json(result, path, meta=None):
 
 
 def write_draws(result, stats_path, finals_path):
-    """Phase-3 draws needed by the GOF stage (.npy, timestamp-free)."""
-    finals = np.array([net.x for net in result.draws_final_networks],
-                      dtype=np.int8)
+    """Phase-3 draws needed by the GOF stage (.npy, timestamp-free).
+
+    The final networks go out one at a time, as the bytes that `np.save`
+    writes for their (n3, n, n) int8 stack, so the stack is never built;
+    no networks give `np.save`'s shape (0,)."""
     np.save(stats_path, result.draws_stats)
-    np.save(finals_path, finals)
+    nets = result.draws_final_networks
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.int8)),
+              "fortran_order": False,
+              "shape": (len(nets), *nets[0].x.shape) if nets else (0,)}
+    with open(finals_path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for net in nets:
+            fh.write(np.ascontiguousarray(net.x, dtype=np.int8).data)
 
 
 def read_draws(finals_path, actors) -> list:

@@ -182,7 +182,8 @@ def aggregate_domains(records, dictionary: DisambiguationDictionary,
     for d in domains:
         nets = []
         for y in years:
-            w = counts.get((d, y), zero).reshape(n, n)
+            # each count is dropped once its wave is built
+            w = counts.pop((d, y), zero).reshape(n, n)
             nets.append(WeightedNetwork(actors, y, w + w.T))
         series[d] = WeightedNetSeries(tuple(nets))
     return series

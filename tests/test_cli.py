@@ -9,6 +9,8 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +23,9 @@ from ircnet.fileio import (FileFormatError, export_graphml, import_graphml,
                            read_actor_covariate, read_actor_set,
                            read_binary_edgelist, read_dictionary,
                            read_dyad_matrix, read_weighted_edgelist,
-                           text_lines, write_result_json)
+                           text_lines, write_draws, write_result_json)
 from ircnet.panel import ActorSet, BinaryNetwork
+from conftest import random_graph
 
 ACTORS = ("CHN", "DEU", "FRA", "JPN", "NLD", "USA")
 NAMES = {"CHN": "Peoples R China", "DEU": "Germany", "FRA": "France",
@@ -433,6 +436,31 @@ class TestEstimateAndGof:
         assert err.startswith(f"error: {finals}: ")
         if damage == "wrong n":
             assert "6x6" in err and "(20, 5, 5)" in err
+
+    def test_unconverged_fit_is_flagged(self, tmp_path, capsys):
+        """A final convergence ratio above `t_max` adds a line to the report
+        and warns on stderr; the exit code stays 0. Under `t_max = inf`
+        every ratio is converged."""
+        root = str(tmp_path)
+        write_fixtures(root, random_records(5))
+        line = "Not converged (ratio above t_max = 0)"
+        for t_max, flagged in (("0", True), ("inf", False)):
+            cfg = write_config(root, extra=FAST_FIT + f"t_max = {t_max}\n")
+            for command in ("ingest", "backbone"):
+                assert main([command, cfg]) == 0
+            capsys.readouterr()
+            assert main(["estimate", cfg]) == 0
+            printed = capsys.readouterr()
+            with open(os.path.join(root, "out", "report_ST.txt")) as fh:
+                report = fh.read()
+            with open(os.path.join(root, "out", "result_ST.json")) as fh:
+                ratio = json.load(fh)["conv_ratio"]
+            warning = (f"warning: convergence ratio {ratio:.4f} exceeds t_max "
+                       "0; the estimates are not converged\n")
+            assert report.endswith(f"\n{line}\n") == flagged
+            assert (line in printed.out.splitlines()) == flagged
+            assert ("Not converged" in report + printed.out) == flagged
+            assert printed.err == (warning if flagged else "")
 
     @pytest.mark.slow
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -849,6 +877,11 @@ MALFORMED = [
                  id="edge-self-loop"),
     pytest.param("weighted", "year,iso3_a,iso3_b,weight\n2000,CHN,DEU,1\n"
                  "2000,CHN,DEU,-3\n", 3, id="edge-negative-weight"),
+    # a year outside `years` (2000-2002) is not counted, but still checked
+    pytest.param("panel", "year,iso3_a,iso3_b\n2000,CHN,DEU\n2001,DEU,FRA\n"
+                 "2009,CHN,XYZ\n", 4, id="edge-unrequested-year-actor"),
+    pytest.param("weighted", "year,iso3_a,iso3_b,weight\n2000,CHN,DEU,1\n"
+                 "2009,CHN,CHN,2\n", 3, id="edge-unrequested-year-self-loop"),
     pytest.param("dyad", "", 1, id="dyad-empty"),
     pytest.param("dyad", _dyad_text(3, "DEU,abc,0,1,1,1,1"), 3, id="dyad-cell"),
     pytest.param("dyad", _dyad_text(4, "FRA,1,1,0,1,1"), 4, id="dyad-row-short"),
@@ -881,6 +914,93 @@ MALFORMED = [
     pytest.param("dyad", _dyad_text(3, "DEU,1,0,2,1,1,1"), 3,
                  id="dyad-asymmetric"),
 ]
+
+
+def write_long_edgelist(root, n=100, weighted=True):
+    """`n` actors in root/actors.txt and an edge list over 1990-2019 with
+    150 random rows per year in root/edges.csv; its path."""
+    rng = np.random.default_rng(29)
+    labels = [f"A{k:03d}" for k in range(n)]
+    with open(os.path.join(root, "actors.txt"), "w") as fh:
+        fh.write("\n".join(labels) + "\n")
+    path = os.path.join(root, "edges.csv")
+    with open(path, "w") as fh:
+        fh.write("year,iso3_a,iso3_b" + (",weight\n" if weighted else "\n"))
+        for year in range(1990, 2020):
+            for _ in range(150):
+                i, j = sorted(rng.choice(n, 2, replace=False))
+                fh.write(f"{year},{labels[i]},{labels[j]}"
+                         + (f",{rng.integers(1, 9)}\n" if weighted else "\n"))
+    return path
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that `tracemalloc` sees `fn(*args)` allocate."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """The I/O commands hold each wave once and nothing they do not write."""
+
+    def test_backbone_holds_one_year_of_scores(self, tmp_path):
+        """At n = 100 over 30 years the weighted series is 30 int64 waves,
+        S = 2.4 MB. `backbone` holds S, its int8 backbone series (S / 8) and
+        one year's scores and their temporaries (a few n x n floats), about
+        1.4 S; the bound is 2 S. Keeping every year's `alpha` and `p` (two
+        float64 matrices a year) adds 2 S, about 3.3 S in all."""
+        root = str(tmp_path)
+        path = write_long_edgelist(root)
+        cfg = write_config(root, extra=f"weighted = {path}\nyears = 1990-2019\n"
+                                       "alpha = 0.3\n")
+        assert main(["backbone", cfg]) == 0   # first-call caches untraced
+        series_bytes = 30 * 100 * 100 * 8
+        peak = traced_peak(main, ["backbone", cfg])
+        assert peak < 2 * series_bytes, peak / series_bytes
+
+    def test_reader_counts_only_requested_years(self, tmp_path):
+        """The last 3 of 30 years are counted; the other 27 are parsed and
+        checked but get no matrix. The peak is a few waves (bound: 8 int64
+        waves of n = 100, 0.64 MB), not the 30 that counting every year
+        holds."""
+        root = str(tmp_path)
+        path = write_long_edgelist(root, weighted=False)
+        actors = read_actor_set(os.path.join(root, "actors.txt"))
+        years = [2017, 2018, 2019]
+        peak = traced_peak(read_binary_edgelist, path, actors, years)
+        assert peak < 8 * 100 * 100 * 8, peak / (100 * 100 * 8)
+        panel = read_binary_edgelist(path, actors, years)
+        full = read_binary_edgelist(path, actors)
+        assert panel.years == years
+        for net in panel:
+            assert np.array_equal(net.x, full.wave(full.years.index(net.year)).x)
+
+    @pytest.mark.parametrize("n3", [0, 3, 25])
+    def test_draws_file_is_np_save_bytes(self, tmp_path, rng, n3):
+        nets = [random_graph(rng, 7) for _ in range(n3)]
+        result = SimpleNamespace(draws_stats=rng.random((n3, 4)),
+                                 draws_final_networks=nets)
+        write_draws(result, tmp_path / "stats.npy", tmp_path / "finals.npy")
+        np.save(tmp_path / "want.npy",
+                np.array([net.x for net in nets], dtype=np.int8))
+        np.save(tmp_path / "want_stats.npy", result.draws_stats)
+        assert read_bytes(tmp_path / "finals.npy") == read_bytes(tmp_path / "want.npy")
+        assert (read_bytes(tmp_path / "stats.npy")
+                == read_bytes(tmp_path / "want_stats.npy"))
+
+    def test_draws_are_written_without_their_stack(self, tmp_path, rng):
+        """200 draws at n = 100 stack to 2 MB; writing them one at a time
+        peaks under a tenth of that."""
+        nets = [random_graph(rng, 100, p=0.05) for _ in range(200)]
+        result = SimpleNamespace(draws_stats=np.zeros((200, 4)),
+                                 draws_final_networks=nets)
+        peak = traced_peak(write_draws, result, tmp_path / "s.npy",
+                           tmp_path / "f.npy")
+        assert peak < 0.1 * 200 * 100 * 100, peak
 
 
 class TestExitCodes:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,30 @@ class TestAggregate:
         assert series["S&T"].wave(0).w.sum() == 2
         with pytest.raises(UnmatchedCountryError, match="record 2 .2001."):
             aggregate_domains(records, strict, ACTORS, ["S&T"])
+
+    def test_peak_is_about_one_copy_of_the_waves(self):
+        """Over 30 years at n = 150 the output holds 30 int64 waves, 5.4 MB.
+        Each (domain, year) count is dropped once its wave is built, so the
+        pass peaks at one copy of them plus a few waves and the pending
+        cells: at most 1.5 copies. Counts kept until every wave is built
+        would add a second copy, 2 in all."""
+        rng = np.random.default_rng(29)
+        actors = actor_set(150)
+        dictionary = DisambiguationDictionary({c: c for c in actors.ids})
+        years = list(range(1990, 2020))
+        records = [rec(f"{y}-{r}", y, [actors.ids[i] for i in
+                                       rng.choice(150, k, replace=False)])
+                   for y in years for r, k in enumerate(rng.integers(2, 5, 100))]
+        tracemalloc.start()
+        try:
+            series = aggregate_domains(iter(records), dictionary, actors,
+                                       [None], years)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        waves = sum(net.w.nbytes for net in series[None])
+        assert waves == 30 * 150 * 150 * 8
+        assert peak < 1.5 * waves, peak / waves
 
 
 class TestDescribe:
